@@ -112,10 +112,9 @@ def optimal_two_user(snr: TransmitSnr, g1: float) -> PowerAllocation:
     The optimum sits at the top of the feasible interval, so it depends
     only on the weak user's received SNR rho*g1:
         alpha_1 = (sqrt(1+rho*g1) - 1) / (rho*g1),  alpha_2 = 1 - alpha_1.
+    It is the base case of the recursive m-user split.
     """
-    g1 = _check_gain("g1", g1)
-    a1 = weak_user_share(snr.rho * g1)
-    return PowerAllocation(np.array([a1, 1.0 - a1]))
+    return optimal_m_user(snr, g1, 2)
 
 
 def downlink_two_user(snr: TransmitSnr, g1: float) -> PowerAllocation:
@@ -153,7 +152,7 @@ def m_user_shares(x, m: int) -> np.ndarray:
     shape = x.shape
     xf = np.atleast_1d(x).astype(float).ravel()
     shares = np.empty((xf.size, m))
-    w = np.expm1(0.5 * np.log1p(xf)) / xf
+    w = weak_user_share(xf)
     shares[:, 0] = w
     shares[:, 1] = 1.0 - w
     for k in range(3, m + 1):

@@ -19,10 +19,9 @@ import tempfile
 
 import numpy as np
 
-from .model import TransmitSnr, ValidationError, log2_1p
+from .model import ChannelGains, TransmitSnr, ValidationError, log2_1p
 from .allocation import InfeasibleIntervalError, optimal_m_user
 from .pairing import enumerate_matchings, near_far_policy, pairing_sum_rate
-from .model import ChannelGains
 from .sim import (
     DEFAULT_GROUP_SIZE,
     DEFAULT_SEED,
@@ -168,11 +167,18 @@ def _emit(text: str, path: str | None) -> None:
         raise OSError(f"cannot write output file {path!r}: {exc.strerror}") from exc
 
 
+def _write_table(args, config: dict, columns, rows, meta: dict | None = None) -> int:
+    """Render the table in the requested format and emit it; exit code 0."""
+    fmt = _resolve(args, config, "format", "csv")
+    text = _render_csv(columns, rows) if fmt == "csv" else _render_json(columns, rows, meta)
+    _emit(text, _resolve(args, config, "output"))
+    return 0
+
+
 def cmd_alloc(args, config: dict) -> int:
     snr_db = float(_require(args, config, "snr_db", "--snr-db"))
     g1 = float(_require(args, config, "g1", "--g1"))
     m = int(_resolve(args, config, "m", 2))
-    fmt = _resolve(args, config, "format", "csv")
     snr = TransmitSnr.from_db(snr_db)
     alloc = optimal_m_user(snr, g1, m)
     # self check: at the optimum the weak user's rate equals its 1/m share
@@ -181,14 +187,11 @@ def cmd_alloc(args, config: dict) -> int:
     residual = (r1 - o1) / o1
     columns = [f"alpha_{i}" for i in range(1, m + 1)] + ["weak_rate_check"]
     rows = [list(alloc.alphas) + [residual]]
-    text = _render_csv(columns, rows) if fmt == "csv" else _render_json(columns, rows)
-    _emit(text, _resolve(args, config, "output"))
-    return 0
+    return _write_table(args, config, columns, rows)
 
 
 def cmd_pair(args, config: dict) -> int:
     raw_gains = _require(args, config, "gains", "--gains")
-    fmt = _resolve(args, config, "format", "csv")
     snr_db = float(_require(args, config, "snr_db", "--snr-db"))
     oracle = bool(_resolve(args, config, "oracle", False))
     baseline = _resolve(args, config, "oma_baseline", "pair")
@@ -210,12 +213,12 @@ def cmd_pair(args, config: dict) -> int:
     else:
         report = pairing_sum_rate(gains, near_far, snr, baseline)
         rows = [[str(near_far), report.noma_sum]]
-    text = _render_csv(columns, rows) if fmt == "csv" else _render_json(columns, rows)
-    _emit(text, _resolve(args, config, "output"))
-    return 0
+    return _write_table(args, config, columns, rows)
 
 
 def _snr_grid(start: float, stop: float, step: float) -> tuple:
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ValidationError(f"SNR grid values must be finite, got {start!r}, {stop!r}, {step!r}")
     if step <= 0.0:
         raise ValidationError(f"--snr-step must be positive, got {step!r}")
     if stop < start:
@@ -248,10 +251,7 @@ def cmd_sweep(args, config: dict) -> int:
         for i, db in enumerate(result.snr_db)
     ]
     meta = {"mode": mode, "users": sweep.users, "trials": sweep.trials, "seed": sweep.seed}
-    fmt = _resolve(args, config, "format", "csv")
-    text = _render_csv(columns, rows) if fmt == "csv" else _render_json(columns, rows, meta)
-    _emit(text, _resolve(args, config, "output"))
-    return 0
+    return _write_table(args, config, columns, rows, meta)
 
 
 def _build_parser() -> argparse.ArgumentParser:

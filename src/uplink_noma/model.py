@@ -50,7 +50,10 @@ class TransmitSnr:
 
     @classmethod
     def from_db(cls, snr_db: float) -> "TransmitSnr":
-        return cls(10.0 ** (float(snr_db) / 10.0))
+        try:
+            return cls(10.0 ** (float(snr_db) / 10.0))
+        except OverflowError as exc:
+            raise ValidationError(f"SNR of {snr_db!r} dB overflows a float") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,17 +143,29 @@ def _require_same_length(gains: ChannelGains, alloc: PowerAllocation) -> None:
         raise DimensionError(f"{gains.m} gains but {alloc.m} power fractions")
 
 
-def noma_rates(gains: ChannelGains, alloc: PowerAllocation, snr: TransmitSnr) -> np.ndarray:
-    """Per-user uplink NOMA rates under ascending-gain SIC.
+def sic_rates(rho, alphas, gains):
+    """Per-user SIC rates along the last axis, without validation.
 
     User i receives log2(1 + rho*a_i*g_i / (1 + sum_{j<i} rho*a_j*g_j)):
     the strongest user is decoded first against all weaker signals, the
     weakest user last with no residual interference.
     """
-    _require_same_length(gains, alloc)
-    sig = snr.rho * alloc.alphas * gains.gains
-    interference = np.concatenate(([0.0], np.cumsum(sig[:-1])))
+    sig = rho * alphas * gains
+    interference = np.zeros_like(sig)
+    interference[..., 1:] = np.cumsum(sig[..., :-1], axis=-1)
     return log2_1p(sig / (1.0 + interference))
+
+
+def group_sum_rate(rho, alphas, gains):
+    """SIC sum rate log2(1 + rho*sum_i a_i*g_i) along the last axis, without
+    validation; the per-user rates of `sic_rates` telescope to it."""
+    return log2_1p(rho * np.sum(alphas * gains, axis=-1))
+
+
+def noma_rates(gains: ChannelGains, alloc: PowerAllocation, snr: TransmitSnr) -> np.ndarray:
+    """Per-user uplink NOMA rates under ascending-gain SIC (`sic_rates`)."""
+    _require_same_length(gains, alloc)
+    return sic_rates(snr.rho, alloc.alphas, gains.gains)
 
 
 def oma_rates(gains: ChannelGains, snr: TransmitSnr) -> np.ndarray:
@@ -159,9 +174,6 @@ def oma_rates(gains: ChannelGains, snr: TransmitSnr) -> np.ndarray:
 
 
 def noma_sum_rate(gains: ChannelGains, alloc: PowerAllocation, snr: TransmitSnr) -> float:
-    """NOMA sum rate log2(1 + sum_i rho*a_i*g_i).
-
-    Equals the sum of `noma_rates` by the telescoping of the SIC chain.
-    """
+    """NOMA sum rate log2(1 + sum_i rho*a_i*g_i), the sum of `noma_rates`."""
     _require_same_length(gains, alloc)
-    return float(log2_1p(snr.rho * float(alloc.alphas @ gains.gains)))
+    return float(group_sum_rate(snr.rho, alloc.alphas, gains.gains))

@@ -22,9 +22,9 @@ from .model import (
     TransmitSnr,
     ValidationError,
     log2_1p,
-    noma_rates,
+    sic_rates,
 )
-from .allocation import optimal_two_user
+from .allocation import m_user_shares
 
 # enumeration grows as (n-1)!!, 10395 matchings at the 12-user cap
 MAX_ENUMERATION_USERS = 12
@@ -112,9 +112,10 @@ def pairing_sum_rate(
 ) -> RateReport:
     """Rates of a paired network, each pair optimally power loaded.
 
-    Every pair is an isolated two-user NOMA system on its own resource.
-    The OMA baseline either halves each pair's resource ("pair", default)
-    or gives every user a 1/(2K) share of the whole band ("network").
+    Every pair is an isolated two-user NOMA system on its own resource with
+    the `optimal_two_user` split. The OMA baseline either halves each pair's
+    resource ("pair", default) or gives every user a 1/(2K) share of the
+    whole band ("network").
     """
     if oma_baseline not in OMA_BASELINES:
         raise ValidationError(
@@ -124,17 +125,11 @@ def pairing_sum_rate(
         raise DimensionError(
             f"policy covers {policy.n_users} users but {gains.m} gains given"
         )
+    users = np.array(policy.pairs) - 1  # (K, 2) indices, weak user first
+    g_pairs = gains.gains[users]
     noma = np.empty(gains.m)
-    for i, j in policy.pairs:
-        g_pair = ChannelGains(np.array([gains.gains[i - 1], gains.gains[j - 1]]))
-        alloc = optimal_two_user(snr, g_pair.gains[0])
-        r_weak, r_strong = noma_rates(g_pair, alloc, snr)
-        noma[i - 1] = r_weak
-        noma[j - 1] = r_strong
-    if oma_baseline == "pair":
-        oma = 0.5 * log2_1p(snr.rho * gains.gains)
-    else:
-        oma = log2_1p(snr.rho * gains.gains) / gains.m
+    noma[users] = sic_rates(snr.rho, m_user_shares(snr.rho * g_pairs[:, 0], 2), g_pairs)
+    oma = log2_1p(snr.rho * gains.gains) / (2 if oma_baseline == "pair" else gains.m)
     return RateReport(noma, oma, float(noma.sum()), float(oma.sum()))
 
 

@@ -14,9 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import TransmitSnr, ValidationError, log2_1p
-from .allocation import m_user_shares, weak_user_share
+from .model import TransmitSnr, ValidationError, group_sum_rate, log2_1p, sic_rates
+from .allocation import m_user_shares
 from .channel import SeedSpec, sample_rayleigh_gains
+from .pairing import FOUR_USER_POLICIES
 
 MODES = ("two-user-rates", "two-user-sum", "four-user-cases", "m-user-group")
 
@@ -114,20 +115,48 @@ def _mean_and_stderr(samples: np.ndarray) -> tuple:
     return mean, float(samples.std(ddof=1) / math.sqrt(samples.size))
 
 
-def _pair_group_sum(rho: float, g_weak: np.ndarray, g_strong: np.ndarray) -> np.ndarray:
-    """NOMA sum rate of optimally loaded (weak, strong) pairs, elementwise."""
-    w = weak_user_share(rho * g_weak)
-    return log2_1p(rho * (w * g_weak + (1.0 - w) * g_strong))
+def _group_sum(rho: float, gains: np.ndarray) -> np.ndarray:
+    """NOMA sum rate of each row's group under the recursive split; at two
+    users that is the optimally loaded (weak, strong) pair."""
+    return group_sum_rate(rho, m_user_shares(rho * gains[:, 0], gains.shape[1]), gains)
 
 
-def _collect(config: SweepConfig, per_point) -> SweepResult:
+def _two_user_rates(rho, gains):
+    noma = sic_rates(rho, m_user_shares(rho * gains[:, 0], 2), gains)
+    return (*noma.T, *(0.5 * log2_1p(rho * gains)).T)
+
+
+def _group_and_oma_sums(rho, gains):
+    return _group_sum(rho, gains), np.sum(log2_1p(rho * gains), axis=1) / gains.shape[1]
+
+
+def _four_user_cases(rho, gains):
+    return tuple(
+        sum(_group_sum(rho, gains[:, [i - 1, j - 1]]) for i, j in policy.pairs)
+        for policy in FOUR_USER_POLICIES
+    )
+
+
+# mode -> per-point kernel: (rho, (trials, users) gain matrix) -> one array
+# of per-trial samples for each of the mode's SERIES_BY_MODE columns
+_KERNELS = {
+    "two-user-rates": _two_user_rates,
+    "two-user-sum": _group_and_oma_sums,
+    "four-user-cases": _four_user_cases,
+    "m-user-group": _group_and_oma_sums,
+}
+
+
+def run_sweep(config: SweepConfig) -> SweepResult:
+    """Average the per-point kernel of the config's mode over the SNR grid."""
+    kernel = _KERNELS[config.mode]
     names = SERIES_BY_MODE[config.mode]
     series = {name: np.empty(len(config.snr_db)) for name in names}
     stderr = {name: np.empty(len(config.snr_db)) for name in names}
     for point, snr_db in enumerate(config.snr_db):
         rho = TransmitSnr.from_db(snr_db).rho
         gains = _gain_matrix(config.users, config.trials, config.seed, point)
-        for name, samples in zip(names, per_point(rho, gains)):
+        for name, samples in zip(names, kernel(rho, gains)):
             series[name][point], stderr[name][point] = _mean_and_stderr(samples)
     return SweepResult(
         mode=config.mode,
@@ -140,59 +169,22 @@ def _collect(config: SweepConfig, per_point) -> SweepResult:
     )
 
 
+def _run_only(config: SweepConfig, function: str, modes: tuple) -> SweepResult:
+    if config.mode not in modes:
+        raise ValidationError(f"{function} cannot run mode {config.mode!r}")
+    return run_sweep(config)
+
+
 def sweep_two_user(config: SweepConfig) -> SweepResult:
     """Two-user sweep, either per-user rates or sum rates."""
-    if config.mode not in ("two-user-rates", "two-user-sum"):
-        raise ValidationError(f"sweep_two_user cannot run mode {config.mode!r}")
-
-    def per_point(rho, gains):
-        g1, g2 = gains[:, 0], gains[:, 1]
-        x = rho * g1
-        w = weak_user_share(x)
-        if config.mode == "two-user-rates":
-            r1 = log2_1p(x * w)
-            r2 = log2_1p(rho * (1.0 - w) * g2 / (1.0 + x * w))
-            return r1, r2, 0.5 * log2_1p(rho * g1), 0.5 * log2_1p(rho * g2)
-        noma = _pair_group_sum(rho, g1, g2)
-        oma = 0.5 * (log2_1p(rho * g1) + log2_1p(rho * g2))
-        return noma, oma
-
-    return _collect(config, per_point)
+    return _run_only(config, "sweep_two_user", ("two-user-rates", "two-user-sum"))
 
 
 def sweep_four_user_cases(config: SweepConfig) -> SweepResult:
     """Sum rates of the three four-user pairings over the grid."""
-    if config.mode != "four-user-cases":
-        raise ValidationError(f"sweep_four_user_cases cannot run mode {config.mode!r}")
-
-    def per_point(rho, gains):
-        g1, g2, g3, g4 = (gains[:, i] for i in range(4))
-        case1 = _pair_group_sum(rho, g1, g2) + _pair_group_sum(rho, g3, g4)
-        case2 = _pair_group_sum(rho, g1, g3) + _pair_group_sum(rho, g2, g4)
-        case3 = _pair_group_sum(rho, g1, g4) + _pair_group_sum(rho, g2, g3)
-        return case1, case2, case3
-
-    return _collect(config, per_point)
+    return _run_only(config, "sweep_four_user_cases", ("four-user-cases",))
 
 
 def sweep_m_user(config: SweepConfig) -> SweepResult:
     """Single M-user NOMA group against the 1/M orthogonal baseline."""
-    if config.mode != "m-user-group":
-        raise ValidationError(f"sweep_m_user cannot run mode {config.mode!r}")
-
-    def per_point(rho, gains):
-        shares = m_user_shares(rho * gains[:, 0], config.users)
-        noma = log2_1p(rho * np.sum(shares * gains, axis=1))
-        oma = np.sum(log2_1p(rho * gains), axis=1) / config.users
-        return noma, oma
-
-    return _collect(config, per_point)
-
-
-def run_sweep(config: SweepConfig) -> SweepResult:
-    """Dispatch a sweep by its mode."""
-    if config.mode == "four-user-cases":
-        return sweep_four_user_cases(config)
-    if config.mode == "m-user-group":
-        return sweep_m_user(config)
-    return sweep_two_user(config)
+    return _run_only(config, "sweep_m_user", ("m-user-group",))

@@ -261,6 +261,29 @@ class TestExitCodes:
         assert "no feasible split" in err
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("alloc", "--snr-db", "4000", "--g1", "0.3"),
+            ("pair", "--gains", "1", "2", "--snr-db", "4000"),
+        ],
+    )
+    def test_overflowing_snr_exits_2(self, capsys, argv):
+        code, out, err = _run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "overflows" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("flag, value", [("--snr-start", "nan"), ("--snr-stop", "inf")])
+    def test_nonfinite_grid_bound_exits_2(self, capsys, flag, value):
+        code, out, err = _run(capsys, "sweep", "--mode", "two-user-sum", flag, value)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "finite" in err
+        assert len(err.splitlines()) == 1
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -17,6 +17,7 @@ from uplink_noma import (
     enumerate_matchings,
     four_user_cases,
     near_far_policy,
+    noma_rates,
     noma_sum_rate,
     oma_rates,
     optimal_two_user,
@@ -117,6 +118,9 @@ class TestPairingSumRate:
                 sub = ChannelGains(np.array([gains.gains[i - 1], gains.gains[j - 1]]))
                 alloc = optimal_two_user(SNR10, sub.gains[0])
                 total += noma_sum_rate(sub, alloc, SNR10)
+                # the batched pair kernel gives each pair's own system bit for bit
+                pair_rates = report.noma_rates[[i - 1, j - 1]]
+                assert np.array_equal(pair_rates, noma_rates(sub, alloc, SNR10))
             assert report.noma_sum == pytest.approx(total, rel=1e-12)
 
     def test_network_baseline_splits_the_whole_band(self):

@@ -201,3 +201,13 @@ class TestSweepProperties:
         assert group.series["sum_oma"][0] == pytest.approx(
             pair_sum.series["sum_oma"][0], rel=1e-12
         )
+
+    def test_two_user_sum_is_the_group_sweep_at_two_users(self):
+        grid = (-10.0, 5.0, 30.0)
+        pair_sum = run_sweep(
+            SweepConfig(mode="two-user-sum", users=2, snr_db=grid, trials=300, seed=8)
+        )
+        group = run_sweep(
+            SweepConfig(mode="m-user-group", users=2, snr_db=grid, trials=300, seed=8)
+        )
+        assert _result_tables_equal(pair_sum, group)
