@@ -39,7 +39,7 @@ from .pairing import (
     near_far_policy,
     pairing_sum_rate,
 )
-from .channel import SeedSpec, sample_rayleigh_gains
+from .channel import SeedSpec, sample_gain_rows, sample_rayleigh_gains
 from .sim import (
     SweepConfig,
     SweepResult,
@@ -80,6 +80,7 @@ __all__ = [
     "near_far_policy",
     "pairing_sum_rate",
     "SeedSpec",
+    "sample_gain_rows",
     "sample_rayleigh_gains",
     "SweepConfig",
     "SweepResult",

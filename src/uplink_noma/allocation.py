@@ -201,6 +201,11 @@ def protected_m_user(snr: TransmitSnr, gains: ChannelGains) -> PowerAllocation:
     exactly on the floor.
     """
     m = gains.m
+    # gains ascend, so the end products bound every rho*g_i; Python floats
+    # overflow to inf without the RuntimeWarning numpy would emit
+    lowest, highest = snr.rho * float(gains.gains[0]), snr.rho * float(gains.gains[-1])
+    if not (lowest > 0.0 and math.isfinite(highest)):
+        raise ValidationError("rho*g must be positive and finite")
     x = snr.rho * gains.gains
     root_log = np.log1p(x) / m  # log of (1 + rho*g_i)^(1/M)
     prefix = np.exp(np.concatenate(([0.0], np.cumsum(root_log[:-1]))))  # P_{i-1}

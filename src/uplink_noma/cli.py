@@ -38,6 +38,10 @@ EXIT_UNWRITABLE = 4
 
 SEED_ENV_VAR = "UPLINK_NOMA_SEED"
 
+# most points a sweep's SNR grid may hold; a longer grid exits 2 before any
+# point is built, instead of overflowing or running without end
+MAX_GRID_POINTS = 100_000
+
 # every key a config file may supply, with its parser
 _CONFIG_PARSERS = {
     "snr_db": float,
@@ -223,7 +227,13 @@ def _snr_grid(start: float, stop: float, step: float) -> tuple:
         raise ValidationError(f"--snr-step must be positive, got {step!r}")
     if stop < start:
         raise ValidationError("--snr-stop must be >= --snr-start")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    steps = (stop - start) / step + 1e-9  # grid points less one, in floats
+    if not steps < MAX_GRID_POINTS:  # also false for an infinite span
+        raise ValidationError(
+            f"SNR grid from {start!r} to {stop!r} in steps of {step!r} dB "
+            f"exceeds {MAX_GRID_POINTS} points"
+        )
+    count = int(steps) + 1
     return tuple(start + step * i for i in range(count))
 
 

@@ -56,6 +56,17 @@ class TransmitSnr:
             raise ValidationError(f"SNR of {snr_db!r} dB overflows a float") from exc
 
 
+def check_gains(gains: np.ndarray) -> None:
+    """Raise ValidationError unless every gain vector along the last axis is
+    finite, strictly positive and sorted ascending (user 1 weakest)."""
+    if not np.all(np.isfinite(gains)):
+        raise ValidationError("gains must be finite")
+    if np.any(gains <= 0.0):
+        raise ValidationError("gains must be strictly positive")
+    if np.any(np.diff(gains, axis=-1) < 0.0):
+        raise ValidationError("gains must be sorted ascending (user 1 weakest)")
+
+
 @dataclass(frozen=True, eq=False)
 class ChannelGains:
     """Squared channel magnitudes |h_i|^2, sorted ascending (weakest first)."""
@@ -66,12 +77,7 @@ class ChannelGains:
         g = np.asarray(self.gains, dtype=float)
         if g.ndim != 1 or g.size < 2:
             raise ValidationError("gains must be a 1-d vector of length >= 2")
-        if not np.all(np.isfinite(g)):
-            raise ValidationError("gains must be finite")
-        if np.any(g <= 0.0):
-            raise ValidationError("gains must be strictly positive")
-        if np.any(np.diff(g) < 0.0):
-            raise ValidationError("gains must be sorted ascending (user 1 weakest)")
+        check_gains(g)
         g = g.copy()
         g.setflags(write=False)
         object.__setattr__(self, "gains", g)

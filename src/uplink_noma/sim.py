@@ -4,7 +4,9 @@ Each sweep averages ergodic rates over Rayleigh fading: rates are computed
 per draw and then averaged, never the other way around. Trials are
 independent, and because every draw comes from its own (seed, point, trial)
 stream the averages are reproducible bit for bit regardless of execution
-order or batching.
+order or batching. Each grid point draws its whole (trials, users) gain
+matrix in one `sample_gain_rows` call and evaluates the mode's kernel on
+it as arrays; no per-trial value objects are built.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .model import TransmitSnr, ValidationError, group_sum_rate, log2_1p, sic_rates
 from .allocation import m_user_shares
-from .channel import SeedSpec, sample_rayleigh_gains
+from .channel import SeedSpec, sample_gain_rows
 from .pairing import FOUR_USER_POLICIES
 
 MODES = ("two-user-rates", "two-user-sum", "four-user-cases", "m-user-group")
@@ -100,14 +102,6 @@ class SweepResult:
             raise ValidationError("series and stderr must report the same columns")
 
 
-def _gain_matrix(m: int, trials: int, seed: int, point: int) -> np.ndarray:
-    """Stack per-trial sorted gain draws into a (trials, m) matrix."""
-    rows = np.empty((trials, m))
-    for trial in range(trials):
-        rows[trial] = sample_rayleigh_gains(m, SeedSpec(seed, point, trial)).gains
-    return rows
-
-
 def _mean_and_stderr(samples: np.ndarray) -> tuple:
     mean = float(samples.mean())
     if samples.size < 2:
@@ -155,7 +149,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     stderr = {name: np.empty(len(config.snr_db)) for name in names}
     for point, snr_db in enumerate(config.snr_db):
         rho = TransmitSnr.from_db(snr_db).rho
-        gains = _gain_matrix(config.users, config.trials, config.seed, point)
+        gains = sample_gain_rows(config.users, SeedSpec(config.seed, point), config.trials)
         for name, samples in zip(names, kernel(rho, gains)):
             series[name][point], stderr[name][point] = _mean_and_stderr(samples)
     return SweepResult(

@@ -389,6 +389,16 @@ class TestProtectedMUser:
         with pytest.raises(allocation.InfeasibleIntervalError):
             protected_m_user(SNR10, ChannelGains(np.array([0.7, 0.7, 0.7])))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rho, g", [(1e300, (1e9, 1e10)), (1e-300, (1e-300, 1.0))])
+    def test_products_beyond_float_range_are_a_range_error(self, rho, g):
+        # rho*g overflowing to inf or underflowing to 0 raises the same error
+        # as optimal_m_user, before any RuntimeWarning
+        with pytest.raises(ValidationError, match="must be positive and finite"):
+            protected_m_user(TransmitSnr(rho), ChannelGains(np.array(g)))
+        with pytest.raises(ValidationError, match="must be positive and finite"):
+            optimal_m_user(TransmitSnr(rho), g[0], 2)
+
 
 class TestDownlinkMirror:
     def test_exact_component_swap(self):

@@ -4,7 +4,20 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from uplink_noma import SeedSpec, ValidationError, sample_rayleigh_gains
+from uplink_noma import SeedSpec, ValidationError, sample_gain_rows, sample_rayleigh_gains
+
+
+def _reference_rows(m, seed, point, first, count):
+    """The stream definition drawn the slow way: one Philox and Generator per
+    trial, built on the counter [0, 0, point, trial]. The counter goes in as
+    a uint64 array, because numpy converts a list of Python ints through
+    float64 once a value reaches 2**63."""
+    rows = []
+    for trial in range(first, first + count):
+        counter = np.array([0, 0, point, trial], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=seed, counter=counter))
+        rows.append(np.sort(rng.standard_exponential(m)))
+    return np.array(rows)
 
 
 class TestDeterminism:
@@ -25,6 +38,40 @@ class TestDeterminism:
         ]
         for f, b in zip(forward, reversed(backward)):
             assert np.array_equal(f, b)
+
+
+class TestBatchedStream:
+    @pytest.mark.parametrize("m", [2, 3, 4, 12, 32])
+    @pytest.mark.parametrize(
+        "seed, point, first",
+        [(42, 0, 0), (7, 3, 1234), (2**64 - 1, 2**63 + 5, 2**64 - 50), (2**64 - 1, 2**40, 2**53 + 1)],
+    )
+    def test_rows_equal_per_trial_generators(self, m, seed, point, first):
+        rows = sample_gain_rows(m, SeedSpec(seed, point, first), 50)
+        assert rows.shape == (50, m)
+        assert np.array_equal(rows, _reference_rows(m, seed, point, first, 50))
+
+    def test_sub_range_is_a_slice_of_the_full_range(self):
+        full = sample_gain_rows(5, SeedSpec(9, 2, 0), 300)
+        assert np.array_equal(sample_gain_rows(5, SeedSpec(9, 2, 117), 64), full[117:181])
+        assert np.array_equal(sample_rayleigh_gains(5, SeedSpec(9, 2, 299)).gains, full[299])
+
+    def test_labels_above_2_pow_63_select_their_own_streams(self):
+        def draw(point, trial):
+            return sample_rayleigh_gains(4, SeedSpec(1, point, trial)).gains
+
+        assert not np.array_equal(draw(0, 2**64 - 1), draw(0, 0))
+        assert not np.array_equal(draw(0, 2**63 + 1), draw(0, 2**63))
+        assert not np.array_equal(draw(2**63 + 1, 0), draw(2**63, 0))
+
+    def test_rejects_empty_and_overflowing_ranges(self):
+        for count in (0, -3, 2.0):
+            with pytest.raises(ValidationError):
+                sample_gain_rows(2, SeedSpec(42), count)
+        with pytest.raises(ValidationError):
+            sample_gain_rows(2, SeedSpec(42, 0, 2**64 - 2), 3)
+        last = sample_gain_rows(2, SeedSpec(42, 0, 2**64 - 2), 2)
+        assert last.shape == (2, 2)
 
 
 class TestDrawShape:

@@ -283,6 +283,26 @@ class TestExitCodes:
         assert err.startswith("error:") and "finite" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            ("--snr-start=-1e308", "--snr-stop=1e308"),  # finite ends, infinite span
+            ("--snr-stop", "1e9", "--snr-step", "1e-9"),  # 1e18 points
+        ],
+    )
+    def test_oversized_grid_exits_2(self, capsys, bounds):
+        code, out, err = _run(capsys, "sweep", "--mode", "two-user-sum", *bounds)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and f"{cli.MAX_GRID_POINTS} points" in err
+        assert len(err.splitlines()) == 1
+
+    def test_grid_at_the_point_cap_is_accepted(self):
+        grid = cli._snr_grid(0.0, cli.MAX_GRID_POINTS - 1.0, 1.0)
+        assert len(grid) == cli.MAX_GRID_POINTS
+        with pytest.raises(cli.ValidationError):
+            cli._snr_grid(0.0, float(cli.MAX_GRID_POINTS), 1.0)
+
 
 class TestEntryPoint:
     def test_module_invocation(self):

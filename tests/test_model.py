@@ -15,6 +15,7 @@ from uplink_noma import (
     noma_sum_rate,
     oma_rates,
 )
+from uplink_noma.model import check_gains
 
 SNR10 = TransmitSnr(10.0)
 
@@ -178,6 +179,25 @@ class TestValidation:
     def test_gains_need_at_least_two_users(self):
         with pytest.raises(ValidationError):
             ChannelGains(np.array([1.0]))
+
+    @pytest.mark.parametrize(
+        "rows, reason",
+        [
+            ([[0.3, 2.0], [0.5, np.nan]], "finite"),
+            ([[0.3, 2.0], [0.5, np.inf]], "finite"),
+            ([[0.3, 2.0], [0.0, 1.0]], "positive"),
+            ([[-0.5, 2.0], [0.3, 1.0]], "positive"),
+            ([[0.3, 2.0], [1.0, 0.9]], "ascending"),
+            ([[[0.3, 2.0]], [[0.7, 0.6]]], "ascending"),
+        ],
+    )
+    def test_gains_check_rejects_any_bad_row(self, rows, reason):
+        with pytest.raises(ValidationError, match=reason):
+            check_gains(np.array(rows))
+
+    def test_gains_check_orders_only_along_the_last_axis(self):
+        # columns may fall from row to row; each row ascends
+        check_gains(np.array([[0.5, 3.0], [0.1, 0.2], [0.1, 0.1]]))
 
     def test_equal_gains_are_accepted(self):
         gains = ChannelGains(np.array([1.0, 1.0, 1.0]))
