@@ -36,18 +36,13 @@ from .pairing import (
     case_gap_monotonicity,
     enumerate_matchings,
     four_user_cases,
+    matching_rates,
     near_far_policy,
+    pair_indices,
     pairing_sum_rate,
 )
 from .channel import SeedSpec, sample_gain_rows, sample_rayleigh_gains
-from .sim import (
-    SweepConfig,
-    SweepResult,
-    run_sweep,
-    sweep_four_user_cases,
-    sweep_m_user,
-    sweep_two_user,
-)
+from .sim import SweepConfig, SweepResult, run_sweep
 
 __version__ = "0.1.0"
 
@@ -77,7 +72,9 @@ __all__ = [
     "case_gap_monotonicity",
     "enumerate_matchings",
     "four_user_cases",
+    "matching_rates",
     "near_far_policy",
+    "pair_indices",
     "pairing_sum_rate",
     "SeedSpec",
     "sample_gain_rows",
@@ -85,7 +82,4 @@ __all__ = [
     "SweepConfig",
     "SweepResult",
     "run_sweep",
-    "sweep_four_user_cases",
-    "sweep_m_user",
-    "sweep_two_user",
 ]

@@ -141,7 +141,9 @@ def m_user_shares(x, m: int) -> np.ndarray:
     and all earlier fractions scale by (1 - a_k). The numerator is
     evaluated as rho*a1*g1 - ((1+rho*g1)^(1/k) - 1) with expm1/log1p to
     avoid cancellation at 1. Elementwise over x; output shape is
-    x.shape + (m,), weakest user first.
+    x.shape + (m,), weakest user first. For m >= 3 a rho*g1 of about 2.1e96
+    or more rounds a_3 to 1 and the earlier fractions to 0, so it raises
+    ValidationError instead.
     """
     if not (isinstance(m, (int, np.integer)) and m >= 2):
         raise ValidationError(f"group size m must be an integer >= 2, got {m!r}")
@@ -159,6 +161,10 @@ def m_user_shares(x, m: int) -> np.ndarray:
         s = xf * shares[:, 0]  # rho * a1 * g1 for the current group
         root_minus_1 = np.expm1(np.log1p(xf) / k)  # (1+rho*g1)^(1/k) - 1
         a_new = (s - root_minus_1) / s
+        if np.any(a_new >= 1.0):  # would zero every earlier share
+            raise ValidationError(
+                f"rho*g1 of {xf.max():g} is past the {m}-user recursion's limit of about 2.1e96"
+            )
         shares[:, : k - 1] *= (1.0 - a_new)[:, None]
         shares[:, k - 1] = a_new
     totals = shares.sum(axis=1)

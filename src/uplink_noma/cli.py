@@ -21,7 +21,13 @@ import numpy as np
 
 from .model import ChannelGains, TransmitSnr, ValidationError, log2_1p
 from .allocation import InfeasibleIntervalError, optimal_m_user
-from .pairing import enumerate_matchings, near_far_policy, pairing_sum_rate
+from .pairing import (
+    enumerate_matchings,
+    matching_rates,
+    near_far_policy,
+    pair_indices,
+    pairing_sum_rate,
+)
 from .sim import (
     DEFAULT_GROUP_SIZE,
     DEFAULT_SEED,
@@ -205,19 +211,14 @@ def cmd_pair(args, config: dict) -> int:
     gains = ChannelGains(values)
     snr = TransmitSnr.from_db(snr_db)
     near_far = near_far_policy(gains.m // 2)
-    columns = ["policy", "sum_noma"]
+    policies = list(enumerate_matchings(gains.m)) if oracle else [near_far]
+    sums = [pairing_sum_rate(gains, near_far, snr, baseline).noma_sum]  # checks the baseline
     if oracle:
-        scored = [
-            (pairing_sum_rate(gains, policy, snr, baseline).noma_sum, policy)
-            for policy in enumerate_matchings(gains.m)
-        ]
-        # descending sum rate; the near-far policy wins exact ties
-        scored.sort(key=lambda item: (-item[0], item[1] != near_far, str(item[1])))
-        rows = [[str(policy), value] for value, policy in scored]
-    else:
-        report = pairing_sum_rate(gains, near_far, snr, baseline)
-        rows = [[str(near_far), report.noma_sum]]
-    return _write_table(args, config, columns, rows)
+        sums = matching_rates(snr.rho, gains.gains, pair_indices(policies)).sum(axis=-1).tolist()
+    # descending sum rate; the near-far policy wins exact ties
+    scored = sorted(zip(sums, policies), key=lambda s: (-s[0], s[1] != near_far, str(s[1])))
+    rows = [[str(policy), value] for value, policy in scored]
+    return _write_table(args, config, ["policy", "sum_noma"], rows)
 
 
 def _snr_grid(start: float, stop: float, step: float) -> tuple:

@@ -4,7 +4,8 @@ A pairing policy splits 2K ascending-sorted users into K pairs, each pair
 running two-user NOMA on its own orthogonal resource with the optimal
 power split. The near-far policy pairs the weakest remaining user with the
 strongest remaining one; enumeration over all perfect matchings serves as
-the optimality oracle.
+the optimality oracle. Every matching is scored by one array kernel,
+`matching_rates`, which rates each pair once and gathers from that table.
 """
 
 from __future__ import annotations
@@ -104,6 +105,36 @@ def enumerate_matchings(n_users: int) -> Iterator[PairingPolicy]:
         yield PairingPolicy(pairs)
 
 
+def matching_rates(rho, gains, pairs):
+    """Per-user NOMA rates (..., P, n), in gain order, of P matchings of the
+    n users along the last axis of `gains`, without validation.
+
+    `pairs` is a zero-based (P, K, 2) index array, weaker user first, and
+    `rho` broadcasts against the leading axes of `gains`. Each pair used by
+    any matching is rated once as its own `optimal_two_user` system (one
+    `m_user_shares` and one `sic_rates` call) into a table R[..., u, v], the
+    rate of user u paired with v; each matching gathers from it by partner.
+    """
+    rho = np.asarray(rho, dtype=float)[..., None]
+    n = gains.shape[-1]
+    used = np.zeros((n, n), dtype=bool)
+    used[pairs[..., 0], pairs[..., 1]] = True
+    weak, strong = np.nonzero(used)
+    g = np.stack((gains[..., weak], gains[..., strong]), axis=-1)
+    rates = sic_rates(rho[..., None], m_user_shares(rho * g[..., 0], 2), g)
+    table = np.zeros(rates.shape[:-2] + (n, n))
+    table[..., weak, strong], table[..., strong, weak] = rates[..., 0], rates[..., 1]
+    partner = np.empty((len(pairs), n), dtype=int)  # partner[p, u]: u's partner in matching p
+    rows = np.arange(len(pairs))[:, None]
+    partner[rows, pairs[..., 0]], partner[rows, pairs[..., 1]] = pairs[..., 1], pairs[..., 0]
+    return table[..., np.arange(n), partner]
+
+
+def pair_indices(policies) -> np.ndarray:
+    """Zero-based (P, K, 2) pair array of the policies, for `matching_rates`."""
+    return np.array([policy.pairs for policy in policies]) - 1
+
+
 def pairing_sum_rate(
     gains: ChannelGains,
     policy: PairingPolicy,
@@ -113,9 +144,9 @@ def pairing_sum_rate(
     """Rates of a paired network, each pair optimally power loaded.
 
     Every pair is an isolated two-user NOMA system on its own resource with
-    the `optimal_two_user` split. The OMA baseline either halves each pair's
-    resource ("pair", default) or gives every user a 1/(2K) share of the
-    whole band ("network").
+    the `optimal_two_user` split (`matching_rates` with one matching). The
+    OMA baseline either halves each pair's resource ("pair", default) or
+    gives every user a 1/(2K) share of the whole band ("network").
     """
     if oma_baseline not in OMA_BASELINES:
         raise ValidationError(
@@ -125,10 +156,7 @@ def pairing_sum_rate(
         raise DimensionError(
             f"policy covers {policy.n_users} users but {gains.m} gains given"
         )
-    users = np.array(policy.pairs) - 1  # (K, 2) indices, weak user first
-    g_pairs = gains.gains[users]
-    noma = np.empty(gains.m)
-    noma[users] = sic_rates(snr.rho, m_user_shares(snr.rho * g_pairs[:, 0], 2), g_pairs)
+    noma = matching_rates(snr.rho, gains.gains, pair_indices([policy]))[0]
     oma = log2_1p(snr.rho * gains.gains) / (2 if oma_baseline == "pair" else gains.m)
     return RateReport(noma, oma, float(noma.sum()), float(oma.sum()))
 
@@ -139,6 +167,7 @@ FOUR_USER_POLICIES = (
     PairingPolicy(((1, 3), (2, 4))),  # case2: interleaved
     PairingPolicy(((1, 4), (2, 3))),  # case3: near-far
 )
+FOUR_USER_PAIRS = pair_indices(FOUR_USER_POLICIES)
 
 
 @dataclass(frozen=True)
@@ -154,8 +183,8 @@ def four_user_cases(gains: ChannelGains, snr: TransmitSnr) -> FourUserCases:
     """Sum rates of all three pairings of a four-user group."""
     if gains.m != 4:
         raise DimensionError(f"four_user_cases needs exactly 4 gains, got {gains.m}")
-    values = [pairing_sum_rate(gains, p, snr).noma_sum for p in FOUR_USER_POLICIES]
-    return FourUserCases(*values)
+    sums = matching_rates(snr.rho, gains.gains, FOUR_USER_PAIRS).sum(axis=-1)
+    return FourUserCases(*sums.tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,10 +219,8 @@ def case_gap_monotonicity(gains: ChannelGains, rho_grid: Sequence[float]) -> Cas
         raise ValidationError("rho_grid values must be positive and finite")
     if np.any(np.diff(grid) <= 0.0):
         raise ValidationError("rho_grid must be strictly ascending")
-    gaps = np.empty(grid.size)
-    for idx, rho in enumerate(grid):
-        cases = four_user_cases(gains, TransmitSnr(float(rho)))
-        gaps[idx] = cases.case2 - cases.case1
+    sums = matching_rates(grid, gains.gains, FOUR_USER_PAIRS).sum(axis=-1)
+    gaps = sums[:, 1] - sums[:, 0]
     nondecreasing = bool(np.all(np.diff(gaps) >= -GAP_STEP_TOL))
     limit = math.log2(gains.gains[2] / gains.gains[1])
     return CaseGapReport(grid, gaps, nondecreasing, limit)

@@ -6,7 +6,8 @@ independent, and because every draw comes from its own (seed, point, trial)
 stream the averages are reproducible bit for bit regardless of execution
 order or batching. Each grid point draws its whole (trials, users) gain
 matrix in one `sample_gain_rows` call and evaluates the mode's kernel on
-it as arrays; no per-trial value objects are built.
+it as arrays; no per-trial value objects are built. `run_sweep` reads the
+mode's kernel from one table; the four-user cases use `matching_rates`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from .model import TransmitSnr, ValidationError, group_sum_rate, log2_1p, sic_rates
 from .allocation import m_user_shares
 from .channel import SeedSpec, sample_gain_rows
-from .pairing import FOUR_USER_POLICIES
+from .pairing import FOUR_USER_PAIRS, matching_rates
 
 MODES = ("two-user-rates", "two-user-sum", "four-user-cases", "m-user-group")
 
@@ -109,26 +110,16 @@ def _mean_and_stderr(samples: np.ndarray) -> tuple:
     return mean, float(samples.std(ddof=1) / math.sqrt(samples.size))
 
 
-def _group_sum(rho: float, gains: np.ndarray) -> np.ndarray:
-    """NOMA sum rate of each row's group under the recursive split; at two
-    users that is the optimally loaded (weak, strong) pair."""
-    return group_sum_rate(rho, m_user_shares(rho * gains[:, 0], gains.shape[1]), gains)
-
-
 def _two_user_rates(rho, gains):
     noma = sic_rates(rho, m_user_shares(rho * gains[:, 0], 2), gains)
     return (*noma.T, *(0.5 * log2_1p(rho * gains)).T)
 
 
 def _group_and_oma_sums(rho, gains):
-    return _group_sum(rho, gains), np.sum(log2_1p(rho * gains), axis=1) / gains.shape[1]
-
-
-def _four_user_cases(rho, gains):
-    return tuple(
-        sum(_group_sum(rho, gains[:, [i - 1, j - 1]]) for i, j in policy.pairs)
-        for policy in FOUR_USER_POLICIES
-    )
+    """Each row's recursive-split NOMA sum (at two users, the optimal pair)
+    and its 1/M orthogonal sum."""
+    noma = group_sum_rate(rho, m_user_shares(rho * gains[:, 0], gains.shape[1]), gains)
+    return noma, np.sum(log2_1p(rho * gains), axis=1) / gains.shape[1]
 
 
 # mode -> per-point kernel: (rho, (trials, users) gain matrix) -> one array
@@ -136,7 +127,7 @@ def _four_user_cases(rho, gains):
 _KERNELS = {
     "two-user-rates": _two_user_rates,
     "two-user-sum": _group_and_oma_sums,
-    "four-user-cases": _four_user_cases,
+    "four-user-cases": lambda rho, g: matching_rates(rho, g, FOUR_USER_PAIRS).sum(axis=-1).T,
     "m-user-group": _group_and_oma_sums,
 }
 
@@ -161,24 +152,3 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         trials=config.trials,
         seed=config.seed,
     )
-
-
-def _run_only(config: SweepConfig, function: str, modes: tuple) -> SweepResult:
-    if config.mode not in modes:
-        raise ValidationError(f"{function} cannot run mode {config.mode!r}")
-    return run_sweep(config)
-
-
-def sweep_two_user(config: SweepConfig) -> SweepResult:
-    """Two-user sweep, either per-user rates or sum rates."""
-    return _run_only(config, "sweep_two_user", ("two-user-rates", "two-user-sum"))
-
-
-def sweep_four_user_cases(config: SweepConfig) -> SweepResult:
-    """Sum rates of the three four-user pairings over the grid."""
-    return _run_only(config, "sweep_four_user_cases", ("four-user-cases",))
-
-
-def sweep_m_user(config: SweepConfig) -> SweepResult:
-    """Single M-user NOMA group against the 1/M orthogonal baseline."""
-    return _run_only(config, "sweep_m_user", ("m-user-group",))

@@ -326,6 +326,16 @@ class TestMUser:
         with pytest.raises(ValidationError):
             optimal_m_user(SNR10, 0.5, 1)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("m", [3, 4, 32])
+    def test_shares_beyond_the_recursion_range_raise(self, m):
+        # a_3 rounds to 1 from rho*g1 of about 2.1e96 on, which would zero
+        # alpha_1 and alpha_2 (and divide by zero at m >= 4)
+        assert np.all(m_user_shares(2.1e96, m) > 0.0)
+        for x in (2.2e96, 1e200, np.array([1.0, 1e97])):
+            with pytest.raises(ValidationError, match="recursion"):
+                m_user_shares(x, m)
+
 
 def _best_protected_by_lp(rho, g):
     """Largest sum rate under every user's OMA floor, by linear programming.

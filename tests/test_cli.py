@@ -297,6 +297,28 @@ class TestExitCodes:
         assert err.startswith("error:") and f"{cli.MAX_GRID_POINTS} points" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.filterwarnings("error")
+    def test_group_beyond_the_recursion_range_exits_2(self, capsys):
+        code, out, err = _run(
+            capsys, "sweep", "--mode", "m-user-group", "--users", "3",
+            "--snr-start", "990", "--snr-stop", "990", "--trials", "5",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "recursion" in err
+        assert len(err.splitlines()) == 1
+
+    def test_oracle_rejects_an_unknown_baseline(self, tmp_path, capsys):
+        config = tmp_path / "pair.cfg"
+        config.write_text(
+            "gains = 0.3 0.8 2.0 5.0\nsnr_db = 10\noracle = true\noma_baseline = half\n"
+        )
+        code, out, err = _run(capsys, "pair", "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "oma_baseline" in err
+        assert len(err.splitlines()) == 1
+
     def test_grid_at_the_point_cap_is_accepted(self):
         grid = cli._snr_grid(0.0, cli.MAX_GRID_POINTS - 1.0, 1.0)
         assert len(grid) == cli.MAX_GRID_POINTS

@@ -16,11 +16,13 @@ from uplink_noma import (
     case_gap_monotonicity,
     enumerate_matchings,
     four_user_cases,
+    matching_rates,
     near_far_policy,
     noma_rates,
     noma_sum_rate,
     oma_rates,
     optimal_two_user,
+    pair_indices,
     pairing_sum_rate,
 )
 
@@ -110,18 +112,29 @@ class TestPairingSumRate:
 
     def test_matching_sum_is_sum_of_pair_systems(self):
         rng = np.random.default_rng(6)
-        for policy in enumerate_matchings(6):
-            gains = ChannelGains(np.sort(rng.standard_exponential(6)))
-            report = pairing_sum_rate(gains, policy, SNR10)
-            total = 0.0
-            for i, j in policy.pairs:
-                sub = ChannelGains(np.array([gains.gains[i - 1], gains.gains[j - 1]]))
-                alloc = optimal_two_user(SNR10, sub.gains[0])
-                total += noma_sum_rate(sub, alloc, SNR10)
-                # the batched pair kernel gives each pair's own system bit for bit
-                pair_rates = report.noma_rates[[i - 1, j - 1]]
-                assert np.array_equal(pair_rates, noma_rates(sub, alloc, SNR10))
-            assert report.noma_sum == pytest.approx(total, rel=1e-12)
+        for n in (2, 4, 6, 8):
+            policies = list(enumerate_matchings(n))
+            for _ in range(3):
+                gains = ChannelGains(np.sort(rng.standard_exponential(n)))
+                table = matching_rates(SNR10.rho, gains.gains, pair_indices(policies))
+                for policy, row in zip(policies, table):
+                    report = pairing_sum_rate(gains, policy, SNR10)
+                    assert np.array_equal(report.noma_rates, row)
+                    total = 0.0
+                    for i, j in policy.pairs:
+                        sub = ChannelGains(np.array([gains.gains[i - 1], gains.gains[j - 1]]))
+                        alloc = optimal_two_user(SNR10, sub.gains[0])
+                        total += noma_sum_rate(sub, alloc, SNR10)
+                        # the batched pair kernel gives each pair's own system bit for bit
+                        assert np.array_equal(row[[i - 1, j - 1]], noma_rates(sub, alloc, SNR10))
+                    assert report.noma_sum == pytest.approx(total, rel=1e-12)
+        # a (trials, 4) gain batch gives each of its rows' own rates bit for bit
+        batch = np.sort(rng.standard_exponential((50, 4)), axis=1)
+        pairs = pair_indices(enumerate_matchings(4))
+        rates = matching_rates(SNR10.rho, batch, pairs)
+        assert rates.shape == (50, 3, 4)
+        for trial, gains in enumerate(batch):
+            assert np.array_equal(rates[trial], matching_rates(SNR10.rho, gains, pairs))
 
     def test_network_baseline_splits_the_whole_band(self):
         pair_report = pairing_sum_rate(GAINS4, near_far_policy(2), SNR10, "pair")
@@ -200,6 +213,10 @@ class TestCaseGap:
         assert report.high_snr_limit == pytest.approx(math.log2(2.5), rel=1e-15)
         assert report.gaps[-1] == pytest.approx(report.high_snr_limit, rel=0.01)
         assert report.nondecreasing
+        # the whole grid in one kernel call equals one SNR at a time, bit for bit
+        for rho, gap in zip(report.rho_grid, report.gaps):
+            cases = four_user_cases(GAINS4, TransmitSnr(float(rho)))
+            assert gap == cases.case2 - cases.case1
 
     def test_equal_middle_gains_give_zero_limit(self):
         gains = ChannelGains(np.array([0.3, 1.0, 1.0, 5.0]))

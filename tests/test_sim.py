@@ -17,9 +17,6 @@ from uplink_noma import (
     optimal_two_user,
     run_sweep,
     sample_rayleigh_gains,
-    sweep_four_user_cases,
-    sweep_m_user,
-    sweep_two_user,
 )
 
 SMALL_GRID = (-10.0, 0.0, 10.0, 20.0)
@@ -59,13 +56,6 @@ class TestConfig:
         with pytest.raises(ValidationError):
             SweepConfig(mode="two-user-sum", users=2, trials=0)
 
-    def test_sweep_functions_reject_foreign_modes(self):
-        config = SweepConfig(mode="two-user-sum", users=2, trials=2)
-        with pytest.raises(ValidationError):
-            sweep_four_user_cases(config)
-        with pytest.raises(ValidationError):
-            sweep_m_user(config)
-
 
 class TestDeterminism:
     def test_rerun_is_bit_identical(self):
@@ -85,7 +75,7 @@ class TestSingleDrawReductions:
         config = SweepConfig(
             mode="four-user-cases", users=4, snr_db=(4.0,), trials=1, seed=77
         )
-        result = sweep_four_user_cases(config)
+        result = run_sweep(config)
         gains = sample_rayleigh_gains(4, SeedSpec(77, point=0, trial=0))
         cases = four_user_cases(gains, TransmitSnr.from_db(4.0))
         assert result.series["case1"][0] == pytest.approx(cases.case1, rel=1e-12)
@@ -95,7 +85,7 @@ class TestSingleDrawReductions:
 
     def test_two_user_single_trial_matches_direct_evaluation(self):
         config = SweepConfig(mode="two-user-rates", users=2, snr_db=(6.0,), trials=1, seed=5)
-        result = sweep_two_user(config)
+        result = run_sweep(config)
         snr = TransmitSnr.from_db(6.0)
         gains = sample_rayleigh_gains(2, SeedSpec(5, 0, 0))
         alloc = optimal_two_user(snr, float(gains.gains[0]))
@@ -108,7 +98,7 @@ class TestSingleDrawReductions:
 
     def test_m_user_single_trial_matches_direct_evaluation(self):
         config = SweepConfig(mode="m-user-group", users=12, snr_db=(10.0,), trials=1, seed=3)
-        result = sweep_m_user(config)
+        result = run_sweep(config)
         snr = TransmitSnr.from_db(10.0)
         gains = sample_rayleigh_gains(12, SeedSpec(3, 0, 0))
         alloc = optimal_m_user(snr, float(gains.gains[0]), 12)
@@ -125,7 +115,7 @@ class TestSingleDrawReductions:
 
     def test_batched_points_match_per_draw_library_path(self):
         config = SweepConfig(mode="two-user-sum", users=2, snr_db=(8.0,), trials=40, seed=21)
-        result = sweep_two_user(config)
+        result = run_sweep(config)
         snr = TransmitSnr.from_db(8.0)
         noma, oma = [], []
         for trial in range(40):
@@ -140,7 +130,7 @@ class TestSingleDrawReductions:
 class TestSweepProperties:
     def test_two_user_rates_keep_weak_equality_and_strong_floor(self):
         config = SweepConfig(mode="two-user-rates", users=2, snr_db=SMALL_GRID, trials=500)
-        result = sweep_two_user(config)
+        result = run_sweep(config)
         assert result.series["R1_noma"] == pytest.approx(
             result.series["R1_oma"], rel=1e-12
         )
