@@ -6,13 +6,13 @@ returned sorted ascending. Reported absolute rates are therefore tied to
 this unit-mean normalization.
 
 Streams are counter based: the 64-bit seed keys a Philox generator and the
-(sweep point, trial) labels select disjoint counter blocks, so any trial
-can be regenerated on its own and results do not depend on execution order.
-Trial t of point p is the stream of a Philox keyed on the seed whose
-counter starts at [0, 0, p, t]. `sample_gain_rows` draws a run of
-consecutive trials from one keyed generator, moving its counter to each
-trial's block instead of building a generator per trial, and validates
-the sorted matrix once; `sample_rayleigh_gains` is its one-row view.
+sweep point selects its counter range, so any trial can be regenerated on
+its own and results do not depend on execution order. Trial t of an m-user
+draw at point p is words t*m .. t*m+m-1 of the raw stream of a Philox keyed
+on the seed with its counter at [0, 0, p, 0]. `sample_gain_rows` reaches a
+run of trials in O(1) through `advance`, draws its words in one call, maps
+them to exponentials and validates the sorted matrix once;
+`sample_rayleigh_gains` is its one-row view.
 """
 
 from __future__ import annotations
@@ -44,12 +44,19 @@ class SeedSpec:
             object.__setattr__(self, name, int(value))
 
 
+def unit_exponentials(words: np.ndarray) -> np.ndarray:
+    """Unit-mean exponentials -log(u) of raw 64-bit words by the inverse CDF,
+    at u = ((w >> 12) + 1/2) / 2**52: exact in a float and strictly inside
+    (0, 1), so every gain is finite and at least about 1.1e-16."""
+    return -np.log(((words >> 12) + 0.5) * 2.0**-52)
+
+
 def sample_gain_rows(m: int, spec: SeedSpec, count: int) -> np.ndarray:
     """Sorted gains of trials spec.trial .. spec.trial+count-1 of (seed, point).
 
     Returns a (count, m) matrix whose row r holds the m sorted unit-mean
-    exponential gains of trial spec.trial + r, each row equal to a draw
-    from a Philox built fresh on that trial's counter block.
+    exponential gains of trial t = spec.trial + r: words t*m .. t*m+m-1 of
+    the point's Philox stream, mapped by `unit_exponentials`.
     """
     if not (isinstance(m, (int, np.integer)) and m >= 2):
         raise ValidationError(f"m must be an integer >= 2, got {m!r}")
@@ -58,19 +65,12 @@ def sample_gain_rows(m: int, spec: SeedSpec, count: int) -> np.ndarray:
     m, count, first = int(m), int(count), spec.trial
     if first + count - 1 > _UINT64_MAX:
         raise ValidationError("last trial index must fit in an unsigned 64-bit integer")
-    bit_gen = np.random.Philox(key=spec.seed)
-    rng = np.random.Generator(bit_gen)
-    # a fresh generator's state (empty output buffer, no cached 32-bit half),
-    # held in lists, which the state setter reads twice as fast as arrays
-    state = bit_gen.state
-    state["state"]["key"] = state["state"]["key"].tolist()
-    state["buffer"] = state["buffer"].tolist()
-    counter = state["state"]["counter"] = [0, 0, spec.point, first]
-    rows = np.empty((count, m))
-    for trial, row in enumerate(rows, start=first):
-        counter[3] = trial
-        bit_gen.state = state
-        rng.standard_exponential(out=row)
+    # an array, since numpy reads a list of ints through float64 from 2**63 on
+    counter = np.array([0, 0, spec.point, 0], dtype=np.uint64)
+    bit_gen = np.random.Philox(key=spec.seed, counter=counter)
+    blocks, skip = divmod(first * m, 4)  # Philox emits four words per counter step
+    bit_gen.advance(blocks)
+    rows = unit_exponentials(bit_gen.random_raw(skip + count * m)[skip:]).reshape(count, m)
     rows.sort(axis=1)
     check_gains(rows)
     return rows

@@ -144,6 +144,15 @@ class RateReport:
         object.__setattr__(self, "oma_rates", ro)
 
 
+def check_received_snr(snr: TransmitSnr, gains: ChannelGains) -> None:
+    """Raise unless every rho*g_i is positive and finite. Gains ascend, so
+    the end products bound them all; Python floats overflow to inf without
+    the RuntimeWarning numpy would emit."""
+    lowest, highest = snr.rho * float(gains.gains[0]), snr.rho * float(gains.gains[-1])
+    if not (lowest > 0.0 and math.isfinite(highest)):
+        raise ValidationError("rho*g must be positive and finite")
+
+
 def _require_same_length(gains: ChannelGains, alloc: PowerAllocation) -> None:
     if gains.m != alloc.m:
         raise DimensionError(f"{gains.m} gains but {alloc.m} power fractions")

@@ -22,6 +22,7 @@ from .model import (
     RateReport,
     TransmitSnr,
     ValidationError,
+    check_received_snr,
     log2_1p,
     sic_rates,
 )
@@ -148,6 +149,7 @@ def pairing_sum_rate(
     OMA baseline either halves each pair's resource ("pair", default) or
     gives every user a 1/(2K) share of the whole band ("network").
     """
+    check_received_snr(snr, gains)
     if oma_baseline not in OMA_BASELINES:
         raise ValidationError(
             f"oma_baseline must be one of {OMA_BASELINES}, got {oma_baseline!r}"

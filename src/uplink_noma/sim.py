@@ -2,11 +2,11 @@
 
 Each sweep averages ergodic rates over Rayleigh fading: rates are computed
 per draw and then averaged, never the other way around. Trials are
-independent, and because every draw comes from its own (seed, point, trial)
-stream the averages are reproducible bit for bit regardless of execution
-order or batching. Each grid point draws its whole (trials, users) gain
-matrix in one `sample_gain_rows` call and evaluates the mode's kernel on
-it as arrays; no per-trial value objects are built. `run_sweep` reads the
+independent: trial t of point p is words t*M .. t*M+M-1 of the point's own
+Philox stream, so averages are reproducible bit for bit regardless of
+execution order or batching. Each grid point draws its whole (trials, M)
+gain matrix, at most MAX_GAINS_PER_POINT gains, in one `sample_gain_rows`
+call and evaluates the mode's kernel on it as arrays. `run_sweep` reads the
 mode's kernel from one table; the four-user cases use `matching_rates`.
 """
 
@@ -28,6 +28,10 @@ DEFAULT_SNR_DB = tuple(float(db) for db in range(-10, 31, 5))
 DEFAULT_TRIALS = 10_000
 DEFAULT_SEED = 42
 DEFAULT_GROUP_SIZE = 12
+
+# most gains (trials x users) one grid point may draw; the sampler holds them
+# all at once, so a larger sweep is refused before anything is allocated
+MAX_GAINS_PER_POINT = 2**26
 
 # column names per mode, means first, matching CLI output order
 SERIES_BY_MODE = {
@@ -59,6 +63,11 @@ class SweepConfig:
             raise ValidationError(f"{self.mode} requires users=4, got {self.users}")
         if not (isinstance(self.trials, (int, np.integer)) and self.trials >= 1):
             raise ValidationError(f"trials must be an integer >= 1, got {self.trials!r}")
+        if int(self.trials) * int(self.users) > MAX_GAINS_PER_POINT:
+            raise ValidationError(
+                f"trials x users of {self.trials} x {self.users} exceeds "
+                f"{MAX_GAINS_PER_POINT} gains per grid point"
+            )
         if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**64):
             raise ValidationError("seed must fit in an unsigned 64-bit integer")
         grid = np.asarray(self.snr_db, dtype=float)

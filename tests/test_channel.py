@@ -5,18 +5,24 @@ import pytest
 import scipy.stats
 
 from uplink_noma import SeedSpec, ValidationError, sample_gain_rows, sample_rayleigh_gains
+from uplink_noma.channel import unit_exponentials
 
 
 def _reference_rows(m, seed, point, first, count):
-    """The stream definition drawn the slow way: one Philox and Generator per
-    trial, built on the counter [0, 0, point, trial]. The counter goes in as
-    a uint64 array, because numpy converts a list of Python ints through
-    float64 once a value reaches 2**63."""
+    """The stream definition drawn the slow way, without `advance`: trial t
+    is words t*m .. t*m+m-1 of the point's stream, so each trial builds its
+    own Philox on the counter of the four-word block holding word t*m, found
+    by integer arithmetic, skips the t*m % 4 words before it and maps each
+    word w to -log(((w >> 12) + 1/2) / 2**52) through Python integers. The
+    counter goes in as a uint64 array, because numpy converts a list of
+    Python ints through float64 once a value reaches 2**63."""
     rows = []
     for trial in range(first, first + count):
-        counter = np.array([0, 0, point, trial], dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(key=seed, counter=counter))
-        rows.append(np.sort(rng.standard_exponential(m)))
+        block, skip = divmod(trial * m, 4)
+        counter = np.array([block % 2**64, block >> 64, point, 0], dtype=np.uint64)
+        words = np.random.Philox(key=seed, counter=counter).random_raw(skip + m)[skip:]
+        u = np.array([((int(w) >> 12) + 0.5) / 2**52 for w in words])
+        rows.append(np.sort(-np.log(u)))
     return np.array(rows)
 
 
@@ -46,10 +52,15 @@ class TestBatchedStream:
         "seed, point, first",
         [(42, 0, 0), (7, 3, 1234), (2**64 - 1, 2**63 + 5, 2**64 - 50), (2**64 - 1, 2**40, 2**53 + 1)],
     )
-    def test_rows_equal_per_trial_generators(self, m, seed, point, first):
+    def test_rows_equal_the_word_offset_reference(self, m, seed, point, first):
         rows = sample_gain_rows(m, SeedSpec(seed, point, first), 50)
         assert rows.shape == (50, m)
         assert np.array_equal(rows, _reference_rows(m, seed, point, first, 50))
+
+    def test_word_map_keeps_every_gain_finite_and_positive(self):
+        words = np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)
+        gains = unit_exponentials(words)
+        assert np.all(np.isfinite(gains)) and np.all(gains > 0.0)
 
     def test_sub_range_is_a_slice_of_the_full_range(self):
         full = sample_gain_rows(5, SeedSpec(9, 2, 0), 300)

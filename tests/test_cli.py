@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import uplink_noma.cli as cli
+import uplink_noma.sim as sim
 from uplink_noma.allocation import InfeasibleIntervalError
 from uplink_noma.cli import main
 
@@ -317,6 +318,38 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "oma_baseline" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "mode, users, trials",
+        [
+            ("m-user-group", 5, (sim.MAX_GAINS_PER_POINT + 1) // 5),  # the cap plus one
+            ("two-user-sum", 2, 2**62),
+        ],
+    )
+    def test_work_past_the_gain_cap_exits_2(self, capsys, monkeypatch, mode, users, trials):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep sampled gains past the cap")
+
+        monkeypatch.setattr(sim, "sample_gain_rows", refuse)
+        assert users * trials > sim.MAX_GAINS_PER_POINT
+        code, out, err = _run(
+            capsys, "sweep", "--mode", mode, "--users", str(users), "--trials", str(trials)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and f"{sim.MAX_GAINS_PER_POINT} gains" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("oracle", [(), ("--oracle",)])
+    def test_pair_beyond_float_range_is_one_error_line(self, capsys, oracle):
+        code, out, err = _run(
+            capsys, "pair", "--gains", "1e-10", "1e-10", "1e306", "1e306", "--snr-db", "30",
+            *oracle,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "rho*g" in err
         assert len(err.splitlines()) == 1
 
     def test_grid_at_the_point_cap_is_accepted(self):
