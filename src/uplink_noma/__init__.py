@@ -21,7 +21,6 @@ from .model import (
 from .allocation import (
     FeasibleInterval,
     InfeasibleIntervalError,
-    downlink_two_user,
     m_user_shares,
     optimal_m_user,
     optimal_two_user,
@@ -59,7 +58,6 @@ __all__ = [
     "oma_rates",
     "FeasibleInterval",
     "InfeasibleIntervalError",
-    "downlink_two_user",
     "m_user_shares",
     "optimal_m_user",
     "optimal_two_user",

@@ -47,8 +47,13 @@ class SeedSpec:
 def unit_exponentials(words: np.ndarray) -> np.ndarray:
     """Unit-mean exponentials -log(u) of raw 64-bit words by the inverse CDF,
     at u = ((w >> 12) + 1/2) / 2**52: exact in a float and strictly inside
-    (0, 1), so every gain is finite and at least about 1.1e-16."""
-    return -np.log(((words >> 12) + 0.5) * 2.0**-52)
+    (0, 1), so every gain is finite and at least about 1.1e-16. Consumes
+    `words` (shifted in place); the peak is the words plus the result."""
+    gains = np.right_shift(words, 12, out=words).astype(float)
+    gains += 0.5
+    gains *= 2.0**-52
+    np.log(gains, out=gains)
+    return np.negative(gains, out=gains)
 
 
 def sample_gain_rows(m: int, spec: SeedSpec, count: int) -> np.ndarray:

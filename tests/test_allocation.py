@@ -1,6 +1,6 @@
 """Power allocation tests: closed forms against independent numerical oracles."""
 
-import logging
+import decimal
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from uplink_noma import (
     PowerAllocation,
     TransmitSnr,
     ValidationError,
-    downlink_two_user,
     m_user_shares,
     noma_rates,
     noma_sum_rate,
@@ -310,31 +309,61 @@ class TestMUser:
         for row, x in zip(batch, xs):
             assert np.array_equal(row, m_user_shares(float(x), 5))
 
-    def test_renormalization_is_logged_not_silent(self, caplog, monkeypatch):
-        monkeypatch.setattr(allocation, "SUM_TO_ONE_TOL", 1e-18)
-        with caplog.at_level(logging.WARNING, logger="uplink_noma.allocation"):
-            shares = m_user_shares(np.array([3.0, 7.0, 11.0]), 16)
-        assert any("renormalizing" in record.message for record in caplog.records)
-        assert np.allclose(shares.sum(axis=1), 1.0, atol=1e-15)
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("m", [2, 3, 4, 12, 32])
+    def test_shares_match_a_60_digit_reference(self, m):
+        xs = np.geomspace(1e-6, 1e300, 61)
+        shares = m_user_shares(xs, m)
+        for x, row in zip(xs, shares):
+            ref = _decimal_shares(float(x), m)
+            assert np.all(np.abs(row - ref) <= 1e-13 * ref)
 
-    def test_no_renormalization_needed_in_normal_ranges(self, caplog):
-        with caplog.at_level(logging.WARNING, logger="uplink_noma.allocation"):
-            m_user_shares(np.geomspace(1e-4, 1e5, 50), 32)
-        assert not caplog.records
+    @pytest.mark.parametrize("m", [3, 12, 32])
+    def test_closed_form_is_the_fold_it_telescopes(self, m):
+        xs = np.geomspace(1e-6, 1e30, 25)
+        for x, row in zip(xs, m_user_shares(xs, m)):
+            ref = _decimal_fold(float(x), m)
+            assert np.all(np.abs(row - ref) <= 1e-13 * ref)
+
+    def test_two_user_shares_are_the_weak_share_and_its_complement(self):
+        xs = np.concatenate(
+            [np.geomspace(1e-300, 1e300, 2001), np.random.default_rng(2).uniform(0, 50, 2000)]
+        )
+        shares = m_user_shares(xs, 2)
+        assert np.array_equal(shares[..., 0], weak_user_share(xs))
+        assert np.array_equal(shares[..., 1], 1.0 - weak_user_share(xs))
 
     def test_rejects_tiny_groups(self):
         with pytest.raises(ValidationError):
             optimal_m_user(SNR10, 0.5, 1)
 
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("m", [3, 4, 32])
-    def test_shares_beyond_the_recursion_range_raise(self, m):
-        # a_3 rounds to 1 from rho*g1 of about 2.1e96 on, which would zero
-        # alpha_1 and alpha_2 (and divide by zero at m >= 4)
-        assert np.all(m_user_shares(2.1e96, m) > 0.0)
-        for x in (2.2e96, 1e200, np.array([1.0, 1e97])):
-            with pytest.raises(ValidationError, match="recursion"):
-                m_user_shares(x, m)
+
+def _decimal_shares(x, m):
+    """The m-user shares from r_k = (1+x)^(1/k) - 1 (r_1 = x) in 60-digit
+    stdlib decimals, by ln and exp: alpha_1 = r_m / r_1 and
+    alpha_i = r_m / r_i - r_m / r_{i-1}."""
+    with decimal.localcontext(decimal.Context(prec=60)):
+        x = decimal.Decimal(x)
+        log = (1 + x).ln()
+        r = [x] + [(log / k).exp() - 1 for k in range(2, m + 1)]
+        ratios = [r[-1] / rk for rk in r]
+        return np.array([float(ratios[0])] + [float(b - a) for a, b in zip(ratios, ratios[1:])])
+
+
+def _decimal_fold(x, m):
+    """The recursion itself in 60-digit decimals: from the two-user split,
+    user k = 3..m takes a_k = (x*a_1 - r_k) / (x*a_1) and every earlier
+    share scales by 1 - a_k."""
+    with decimal.localcontext(decimal.Context(prec=60)):
+        x = decimal.Decimal(x)
+        log = (1 + x).ln()
+        shares = [((log / 2).exp() - 1) / x]
+        shares.append(1 - shares[0])
+        for k in range(3, m + 1):
+            s = x * shares[0]
+            a_k = (s - ((log / k).exp() - 1)) / s
+            shares = [a * (1 - a_k) for a in shares] + [a_k]
+        return np.array([float(a) for a in shares])
 
 
 def _best_protected_by_lp(rho, g):
@@ -408,19 +437,6 @@ class TestProtectedMUser:
             protected_m_user(TransmitSnr(rho), ChannelGains(np.array(g)))
         with pytest.raises(ValidationError, match="must be positive and finite"):
             optimal_m_user(TransmitSnr(rho), g[0], 2)
-
-
-class TestDownlinkMirror:
-    def test_exact_component_swap(self):
-        for rho, g1 in [(10.0, 0.3), (0.37, 12.0), (4000.0, 1e-3)]:
-            up = optimal_two_user(TransmitSnr(rho), g1)
-            down = downlink_two_user(TransmitSnr(rho), g1)
-            assert np.array_equal(down.alphas, up.alphas[::-1])
-
-    def test_weak_user_holds_the_large_share(self):
-        down = downlink_two_user(SNR10, 0.3)
-        assert down.alphas[0] > down.alphas[1]
-        assert down.alphas[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
 class TestInputValidation:

@@ -1,5 +1,7 @@
 """Channel sampling tests: determinism, stream separation, distribution."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -74,6 +76,16 @@ class TestBatchedStream:
         assert not np.array_equal(draw(0, 2**64 - 1), draw(0, 0))
         assert not np.array_equal(draw(0, 2**63 + 1), draw(0, 2**63))
         assert not np.array_equal(draw(2**63 + 1, 0), draw(2**63, 0))
+
+    def test_peak_memory_is_the_words_plus_the_result(self):
+        # the raw words are shifted in place and mapped to one float array
+        tracemalloc.start()
+        try:
+            rows = sample_gain_rows(4, SeedSpec(3, 1, 7), 2**18)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * rows.nbytes
 
     def test_rejects_empty_and_overflowing_ranges(self):
         for count in (0, -3, 2.0):

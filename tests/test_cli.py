@@ -298,16 +298,29 @@ class TestExitCodes:
         assert err.startswith("error:") and f"{cli.MAX_GRID_POINTS} points" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "snr_db, m", [("330", "2"), ("990", "3"), ("1960", "4")]
+    )
+    def test_split_below_float_resolution_exits_2(self, capsys, snr_db, m):
+        # the strongest share rounds to 1 from rho*g1 of about 3.2e32, 3.4e97
+        # and 1.2e195 at m = 2, 3 and 4
+        code, out, err = _run(capsys, "alloc", "--snr-db", snr_db, "--g1", "1", "--m", m)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "rho*g1" in err
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.filterwarnings("error")
-    def test_group_beyond_the_recursion_range_exits_2(self, capsys):
+    def test_group_sweep_at_990_db_is_finite(self, capsys):
         code, out, err = _run(
             capsys, "sweep", "--mode", "m-user-group", "--users", "3",
             "--snr-start", "990", "--snr-stop", "990", "--trials", "5",
         )
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:") and "recursion" in err
-        assert len(err.splitlines()) == 1
+        assert code == 0 and err == ""
+        header, rows = _parse_csv(out)
+        row = dict(zip(header, map(float, rows[0])))
+        assert all(np.isfinite(v) for v in row.values())
+        assert row["sum_noma"] >= row["sum_oma"]
 
     def test_oracle_rejects_an_unknown_baseline(self, tmp_path, capsys):
         config = tmp_path / "pair.cfg"
