@@ -35,6 +35,7 @@ from .pairing import (
     case_gap_monotonicity,
     enumerate_matchings,
     four_user_cases,
+    matching_array,
     matching_rates,
     near_far_policy,
     pair_indices,
@@ -70,6 +71,7 @@ __all__ = [
     "case_gap_monotonicity",
     "enumerate_matchings",
     "four_user_cases",
+    "matching_array",
     "matching_rates",
     "near_far_policy",
     "pair_indices",

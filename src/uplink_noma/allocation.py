@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    MIN_RECEIVED_SNR,
     ChannelGains,
     PowerAllocation,
     TransmitSnr,
@@ -127,13 +128,14 @@ def m_user_shares(x, m: int) -> np.ndarray:
     so the products telescope to alpha_1 = r_m / r_1 and
     alpha_i = r_m / r_i - r_m / r_{i-1}, which sum to r_m / r_m = 1. At
     m = 2 this is `weak_user_share` and its complement, bit for bit.
-    Elementwise over x; output shape is x.shape + (m,), weakest user first.
+    Elementwise over x, which must be finite and at least MIN_RECEIVED_SNR;
+    output shape is x.shape + (m,), weakest user first.
     """
     if not (isinstance(m, (int, np.integer)) and m >= 2):
         raise ValidationError(f"group size m must be an integer >= 2, got {m!r}")
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0) or not np.all(np.isfinite(x)):
-        raise ValidationError("rho*g1 must be positive and finite")
+    if np.any(x < MIN_RECEIVED_SNR) or not np.all(np.isfinite(x)):
+        raise ValidationError("rho*g1 must be positive, finite and normal")
     # users on a leading axis keep numpy's inner loops long, over x
     r = np.empty((int(m),) + x.shape)
     r[0] = x  # not expm1(log1p(x)), which can be an ulp off x

@@ -23,6 +23,7 @@ from .model import ChannelGains, TransmitSnr, ValidationError, log2_1p
 from .allocation import InfeasibleIntervalError, optimal_m_user
 from .pairing import (
     enumerate_matchings,
+    matching_array,
     matching_rates,
     near_far_policy,
     pair_indices,
@@ -211,13 +212,21 @@ def cmd_pair(args, config: dict) -> int:
     gains = ChannelGains(values)
     snr = TransmitSnr.from_db(snr_db)
     near_far = near_far_policy(gains.m // 2)
-    policies = list(enumerate_matchings(gains.m)) if oracle else [near_far]
+    pairs = matching_array(gains.m) if oracle else pair_indices([near_far])
     sums = [pairing_sum_rate(gains, near_far, snr, baseline).noma_sum]  # checks the baseline
     if oracle:
-        sums = matching_rates(snr.rho, gains.gains, pair_indices(policies)).sum(axis=-1).tolist()
-    # descending sum rate; the near-far policy wins exact ties
-    scored = sorted(zip(sums, policies), key=lambda s: (-s[0], s[1] != near_far, str(s[1])))
-    rows = [[str(policy), value] for value, policy in scored]
+        # drawn once for perfbench's matching counter, until ROADMAP item 1 re-keys it
+        for _ in enumerate_matchings(gains.m):
+            pass
+        sums = matching_rates(snr.rho, gains.gains, pairs).sum(axis=-1).tolist()
+    n = gains.m
+    names = [f"({u // n + 1},{u % n + 1})" for u in range(n * n)]  # names[i*n + j]: "(i+1,j+1)"
+    pair_names = map(names.__getitem__, (pairs[..., 0] * n + pairs[..., 1]).ravel().tolist())
+    labels = list(map(",".join, zip(*[pair_names] * (n // 2))))  # K pair names per matching
+    keys = np.array(labels, dtype=bytes)  # ASCII, so bytes sort as the labels do
+    # descending sum rate; the near-far policy wins exact ties, then label order
+    order = np.lexsort((keys, keys != str(near_far).encode(), -np.array(sums)))
+    rows = [[labels[i], sums[i]] for i in order.tolist()]
     return _write_table(args, config, ["policy", "sum_noma"], rows)
 
 

@@ -22,6 +22,10 @@ SUM_TO_ONE_TOL = 1e-12
 # consistency tolerance between a reported sum rate and the sum of rates
 RATE_SUM_REL_TOL = 1e-9
 
+# smallest received SNR rho*g accepted, the smallest normal float; shares and
+# rates lose precision below it
+MIN_RECEIVED_SNR = float(np.finfo(float).tiny)
+
 
 class ValidationError(ValueError):
     """An argument violates a documented model invariant."""
@@ -145,12 +149,12 @@ class RateReport:
 
 
 def check_received_snr(snr: TransmitSnr, gains: ChannelGains) -> None:
-    """Raise unless every rho*g_i is positive and finite. Gains ascend, so
-    the end products bound them all; Python floats overflow to inf without
-    the RuntimeWarning numpy would emit."""
+    """Raise unless every rho*g_i is positive, finite and normal (at least
+    MIN_RECEIVED_SNR). Gains ascend, so the end products bound them all;
+    Python floats overflow to inf without the RuntimeWarning numpy would emit."""
     lowest, highest = snr.rho * float(gains.gains[0]), snr.rho * float(gains.gains[-1])
-    if not (lowest > 0.0 and math.isfinite(highest)):
-        raise ValidationError("rho*g must be positive and finite")
+    if not (lowest >= MIN_RECEIVED_SNR and math.isfinite(highest)):
+        raise ValidationError("rho*g must be positive, finite and normal")
 
 
 def _require_same_length(gains: ChannelGains, alloc: PowerAllocation) -> None:

@@ -4,8 +4,10 @@ A pairing policy splits 2K ascending-sorted users into K pairs, each pair
 running two-user NOMA on its own orthogonal resource with the optimal
 power split. The near-far policy pairs the weakest remaining user with the
 strongest remaining one; enumeration over all perfect matchings serves as
-the optimality oracle. Every matching is scored by one array kernel,
-`matching_rates`, which rates each pair once and gathers from that table.
+the optimality oracle. `matching_array` builds every matching at once as one
+zero-based index array, and `enumerate_matchings` yields the same matchings
+as policies. Every matching is scored by one array kernel, `matching_rates`,
+which rates each pair once and gathers from that table.
 """
 
 from __future__ import annotations
@@ -75,35 +77,44 @@ def near_far_policy(k: int) -> PairingPolicy:
     return PairingPolicy(tuple((i, 2 * k + 1 - i) for i in range(1, k + 1)))
 
 
-def _matchings(remaining: tuple) -> Iterator[tuple]:
-    if not remaining:
-        yield ()
-        return
-    first = remaining[0]
-    for idx in range(1, len(remaining)):
-        partner = remaining[idx]
-        rest = remaining[1:idx] + remaining[idx + 1 :]
-        for tail in _matchings(rest):
-            yield ((first, partner),) + tail
-
-
-def enumerate_matchings(n_users: int) -> Iterator[PairingPolicy]:
-    """Yield every perfect matching of users 1..n_users.
-
-    There are (n_users - 1)!! of them, so n_users is capped at
-    MAX_ENUMERATION_USERS.
+def matching_array(n_users: int) -> np.ndarray:
+    """Every perfect matching of users 0..n_users-1 as one zero-based
+    (P, n_users/2, 2) array for `matching_rates`, P = (n_users - 1)!!, each
+    pair weaker user first. Rows are in recursive order: user 0 takes each
+    partner in turn, and each is followed by the block over the users left.
+    n_users is capped at MAX_ENUMERATION_USERS.
     """
     if not (isinstance(n_users, (int, np.integer)) and n_users >= 2):
         raise ValidationError(f"n_users must be an integer >= 2, got {n_users!r}")
-    n_users = int(n_users)
     if n_users % 2:
         raise ValidationError(f"n_users must be even, got {n_users}")
     if n_users > MAX_ENUMERATION_USERS:
         raise ValidationError(
             f"enumeration is capped at {MAX_ENUMERATION_USERS} users, got {n_users}"
         )
-    for pairs in _matchings(tuple(range(1, n_users + 1))):
-        yield PairingPolicy(pairs)
+    match = np.zeros((1, 0, 2), dtype=np.intp)  # the one matching of no users
+    for n in range(2, int(n_users) + 1, 2):
+        # row k: the users left, ascending, once user 0 takes partner k + 1
+        left = np.arange(1, n - 1) + (np.arange(n - 2) >= np.arange(n - 1)[:, None])
+        head = np.zeros((n - 1, len(match), 1, 2), dtype=np.intp)
+        head[..., 1] = np.arange(1, n)[:, None, None]
+        match = np.concatenate((head, left[:, match]), axis=2).reshape(-1, n // 2, 2)
+    return match
+
+
+def enumerate_matchings(n_users: int) -> Iterator[PairingPolicy]:
+    """Yield every perfect matching of users 1..n_users, in `matching_array`
+    order. The matchings are valid by construction, so each policy is built
+    from a shared table of (i, j) tuples without rerunning the validation.
+    """
+    match = matching_array(n_users)
+    n = int(n_users)
+    pair = [(u // n + 1, u % n + 1) for u in range(n * n)]  # pair[i*n + j] is (i+1, j+1)
+    pairs = map(pair.__getitem__, (match[..., 0] * n + match[..., 1]).ravel().tolist())
+    for row in zip(*[pairs] * (n // 2)):  # K pairs at a time
+        policy = object.__new__(PairingPolicy)
+        object.__setattr__(policy, "pairs", row)
+        yield policy
 
 
 def matching_rates(rho, gains, pairs):

@@ -24,6 +24,7 @@ from uplink_noma import (
     strong_share_bounds,
     weak_user_share,
 )
+from uplink_noma.model import MIN_RECEIVED_SNR
 
 SNR10 = TransmitSnr(10.0)
 
@@ -337,6 +338,23 @@ class TestMUser:
         with pytest.raises(ValidationError):
             optimal_m_user(SNR10, 0.5, 1)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x", [5e-324, 1e-319, MIN_RECEIVED_SNR * (1 - 2**-52)])
+    def test_subnormal_received_snr_is_rejected(self, x):
+        # the shares lose precision there, and at 5e-324 they divided 0 by 0
+        for m in (2, 3):
+            with pytest.raises(ValidationError, match="must be positive, finite and normal"):
+                m_user_shares(np.array([1.0, x]), m)
+        with pytest.raises(ValidationError, match="must be positive, finite and normal"):
+            optimal_m_user(TransmitSnr(1.0), x, 3)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("m", [3, 32])
+    def test_smallest_normal_received_snr_is_accepted(self, m):
+        # r_k is x/k there, so every share is 1/m
+        shares = m_user_shares(MIN_RECEIVED_SNR, m)
+        assert np.all(np.abs(shares * m - 1.0) <= 1e-12)
+
 
 def _decimal_shares(x, m):
     """The m-user shares from r_k = (1+x)^(1/k) - 1 (r_1 = x) in 60-digit
@@ -433,9 +451,9 @@ class TestProtectedMUser:
     def test_products_beyond_float_range_are_a_range_error(self, rho, g):
         # rho*g overflowing to inf or underflowing to 0 raises the same error
         # as optimal_m_user, before any RuntimeWarning
-        with pytest.raises(ValidationError, match="must be positive and finite"):
+        with pytest.raises(ValidationError, match="must be positive, finite and normal"):
             protected_m_user(TransmitSnr(rho), ChannelGains(np.array(g)))
-        with pytest.raises(ValidationError, match="must be positive and finite"):
+        with pytest.raises(ValidationError, match="must be positive, finite and normal"):
             optimal_m_user(TransmitSnr(rho), g[0], 2)
 
 

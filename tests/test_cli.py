@@ -12,6 +12,13 @@ import pytest
 
 import uplink_noma.cli as cli
 import uplink_noma.sim as sim
+from uplink_noma import (
+    ChannelGains,
+    TransmitSnr,
+    enumerate_matchings,
+    near_far_policy,
+    pairing_sum_rate,
+)
 from uplink_noma.allocation import InfeasibleIntervalError
 from uplink_noma.cli import main
 
@@ -97,6 +104,38 @@ class TestPair:
         code, _, err = _run(capsys, "pair", "--gains", "1", "2", "3", "--snr-db", "10")
         assert code == 2
         assert "even" in err
+
+    @pytest.mark.parametrize(
+        "gains",
+        [
+            ["1"] * 12,
+            "1 1 2 2 3 3 4 4".split(),
+            ["1"] * 6,
+            *([repr(g) for g in np.random.default_rng(seed).standard_exponential(12).tolist()]
+              for seed in (3, 4, 5)),
+        ],
+        ids=["12-equal", "equal-pairs", "6-equal", "draw-3", "draw-4", "draw-5"],
+    )
+    def test_oracle_ranking_is_the_sort_by_sum_near_far_and_label(self, capsys, gains):
+        # descending sum rate, the near-far policy first among exact ties,
+        # then the label, recomputed one policy at a time
+        values = ChannelGains(np.sort(np.array(gains, dtype=float)))
+        snr = TransmitSnr.from_db(10.0)
+        near_far = near_far_policy(values.m // 2)
+        policies = enumerate_matchings(values.m)
+        scored = sorted(
+            ((pairing_sum_rate(values, p, snr).noma_sum, p) for p in policies),
+            key=lambda s: (-s[0], s[1] != near_far, str(s[1])),
+        )
+        csv_rows = [[str(p), format(v, ".9g")] for v, p in scored]
+        json_rows = [{"policy": str(p), "sum_noma": float(format(v, ".9g"))} for v, p in scored]
+        for baseline in ("pair", "network"):
+            argv = ["pair", "--gains", *gains, "--snr-db", "10", "--oracle",
+                    "--oma-baseline", baseline]
+            _, out, _ = _run(capsys, *argv)
+            assert _parse_csv(out)[1] == csv_rows
+            _, out, _ = _run(capsys, *argv, "--format", "json")
+            assert json.loads(out)["rows"] == json_rows
 
     def test_oracle_respects_enumeration_cap(self, capsys):
         gains = [str(v) for v in np.linspace(0.1, 2.0, 14)]
@@ -363,6 +402,22 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "rho*g" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("alloc", "--snr-db", "10", "--g1", "1e-320", "--m", "3"),
+            ("alloc", "--snr-db", "0", "--g1", "5e-324", "--m", "3"),
+            ("pair", "--gains", "5e-324", "1e-320", "1", "2", "--snr-db", "0"),
+        ],
+    )
+    def test_subnormal_received_snr_is_one_error_line(self, capsys, argv):
+        code, out, err = _run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "positive, finite and normal" in err
         assert len(err.splitlines()) == 1
 
     def test_grid_at_the_point_cap_is_accepted(self):

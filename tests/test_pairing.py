@@ -1,6 +1,7 @@
 """Pairing tests: policies, enumeration oracle, case ordering, gap limits."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from uplink_noma import (
     case_gap_monotonicity,
     enumerate_matchings,
     four_user_cases,
+    matching_array,
     matching_rates,
     near_far_policy,
     noma_rates,
@@ -77,11 +79,46 @@ class TestEnumeration:
     def test_near_far_is_enumerated(self):
         assert near_far_policy(3).pairs in {p.pairs for p in enumerate_matchings(6)}
 
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
+    def test_array_is_the_tuple_recursion_in_its_order(self, n):
+        reference = np.array(list(_tuple_matchings(tuple(range(n))))).reshape(-1, n // 2, 2)
+        pairs = matching_array(n)
+        assert len(pairs) == _double_factorial(n - 1)
+        assert np.array_equal(pairs, reference)
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
+    def test_enumerated_policies_are_validated_policies(self, n):
+        policies = list(enumerate_matchings(n))
+        assert np.array_equal(pair_indices(policies), matching_array(n))
+        for policy in policies:
+            validated = PairingPolicy(policy.pairs)
+            assert policy == validated and str(policy) == str(validated)
+
     def test_rejects_odd_and_oversized(self):
-        with pytest.raises(ValidationError):
-            list(enumerate_matchings(5))
-        with pytest.raises(ValidationError):
-            list(enumerate_matchings(14))
+        for n, message in [
+            (5, "n_users must be even, got 5"),
+            (1, "n_users must be an integer >= 2, got 1"),
+            (0, "n_users must be an integer >= 2, got 0"),
+            (4.0, "n_users must be an integer >= 2, got 4.0"),
+            (14, "enumeration is capped at 12 users, got 14"),
+        ]:
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                list(enumerate_matchings(n))
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                matching_array(n)
+
+
+def _tuple_matchings(remaining):
+    """Every perfect matching of `remaining` as a tuple of pairs, by plain
+    recursion: the reference for the rows of `matching_array` and their order."""
+    if not remaining:
+        yield ()
+        return
+    first = remaining[0]
+    for idx in range(1, len(remaining)):
+        rest = remaining[1:idx] + remaining[idx + 1 :]
+        for tail in _tuple_matchings(rest):
+            yield ((first, remaining[idx]),) + tail
 
 
 class TestPairingSumRate:
@@ -141,6 +178,12 @@ class TestPairingSumRate:
         net_report = pairing_sum_rate(GAINS4, near_far_policy(2), SNR10, "network")
         assert net_report.oma_rates == pytest.approx(pair_report.oma_rates / 2.0, rel=1e-12)
         assert np.array_equal(net_report.noma_rates, pair_report.noma_rates)
+
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_a_subnormal_received_snr(self):
+        gains = ChannelGains(np.array([5e-324, 1e-320, 1.0, 2.0]))
+        with pytest.raises(ValidationError, match="must be positive, finite and normal"):
+            pairing_sum_rate(gains, near_far_policy(2), TransmitSnr(1.0))
 
     def test_rejects_unknown_baseline(self):
         with pytest.raises(ValidationError):
