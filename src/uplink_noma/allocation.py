@@ -84,6 +84,9 @@ def strong_share_bounds(snr: TransmitSnr, g1: float, g2: float) -> FeasibleInter
             / (rho*g2 + rho*g1 * (sqrt(1+rho*g2) - 1)).
     The two ends coincide when g2 = g1. A lower end above the upper end
     beyond float noise raises InfeasibleIntervalError instead of clamping.
+    A rho*g1 below MIN_RECEIVED_SNR, an infinite rho*g2, or a rho*g1 so large
+    (about 3.2e32 on, as in `optimal_m_user`) that the upper end rounds to 1
+    raises ValidationError.
     """
     g1 = _check_gain("g1", g1)
     g2 = _check_gain("g2", g2)
@@ -91,9 +94,12 @@ def strong_share_bounds(snr: TransmitSnr, g1: float, g2: float) -> FeasibleInter
         raise ValidationError(f"g2 must be >= g1, got g1={g1!r}, g2={g2!r}")
     x1 = snr.rho * g1
     x2 = snr.rho * g2
-    s1 = math.expm1(0.5 * math.log1p(x1))  # sqrt(1+x1) - 1
+    if not (x1 >= MIN_RECEIVED_SNR and math.isfinite(x2)):
+        raise ValidationError("rho*g must be positive, finite and normal")
+    upper = 1.0 - weak_user_share(x1)  # (1+s1)*s1/x1, as (1+s1)*s1 = x1 - s1
+    if upper >= 1.0:
+        raise ValidationError(f"rho*g1 of {x1:g} puts the weak share below float resolution")
     s2 = math.expm1(0.5 * math.log1p(x2))  # sqrt(1+x2) - 1
-    upper = (1.0 + s1) * s1 / x1
     lower = (1.0 + x1) * s2 / (x2 + x1 * s2)
     if lower > upper:
         if lower - upper > BOUND_TIE_TOL:

@@ -2,8 +2,11 @@
 
 All SNR flags take dB values and are converted internally via
 rho = 10^(dB/10). Every numeric output is rendered with 9 significant
-digits, identically in CSV and JSON. File output is written to a
-temporary file in the target directory and renamed into place.
+digits, identically in CSV and JSON. CSV text is quoted as csv.writer's
+QUOTE_MINIMAL quotes it, so only cells holding a comma are quoted; a table
+with a quote, CR, LF or empty text cell goes through csv.writer itself. File
+output is written to a temporary file in the target directory and renamed
+into place.
 """
 
 from __future__ import annotations
@@ -135,25 +138,35 @@ def _require(args, config: dict, dest: str, flag: str):
     return value
 
 
+def _quote_minimal(cell: str) -> str:
+    return f'"{cell}"' if "," in cell else cell
+
+
+def _only_commas_need_quotes(cells) -> bool:
+    """True when no cell is empty or holds a quote, CR or LF. Then QUOTE_MINIMAL
+    quotes just the cells with a comma; other tables go through csv.writer."""
+    text = "".join(cells)
+    return all(cells) and not ('"' in text or "\r" in text or "\n" in text)
+
+
 def _render_csv(columns, rows) -> str:
+    # column by column, each all strings or all reals; cells are made lazily,
+    # so only the finished lines and the text are ever held whole
+    table = [(column, isinstance(column[0], str)) for column in zip(*rows)]
+    if all(_only_commas_need_quotes(c) for c, text in [(columns, True), *table] if text):
+        cells = zip(*[map(_quote_minimal if text else _fmt, c) for c, text in table])
+        return "\n".join([",".join(map(_quote_minimal, columns)), *map(",".join, cells), ""])
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([cell if isinstance(cell, str) else _fmt(cell) for cell in row])
+    cells = zip(*[c if text else map(_fmt, c) for c, text in table])
+    csv.writer(buffer, lineterminator="\n").writerows([columns, *cells])
     return buffer.getvalue()
 
 
 def _render_json(columns, rows, meta: dict | None = None) -> str:
     payload = dict(meta or {})
     payload["columns"] = list(columns)
-    payload["rows"] = [
-        {
-            name: (cell if isinstance(cell, str) else _round9(cell))
-            for name, cell in zip(columns, row)
-        }
-        for row in rows
-    ]
+    cells = [c if isinstance(c[0], str) else list(map(_round9, c)) for c in zip(*rows)]
+    payload["rows"] = [dict(zip(columns, row)) for row in zip(*cells)]
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -213,20 +226,20 @@ def cmd_pair(args, config: dict) -> int:
     snr = TransmitSnr.from_db(snr_db)
     near_far = near_far_policy(gains.m // 2)
     pairs = matching_array(gains.m) if oracle else pair_indices([near_far])
-    sums = [pairing_sum_rate(gains, near_far, snr, baseline).noma_sum]  # checks the baseline
+    sums = np.array([pairing_sum_rate(gains, near_far, snr, baseline).noma_sum])  # checks baseline
     if oracle:
         # drawn once for perfbench's matching counter, until ROADMAP item 1 re-keys it
         for _ in enumerate_matchings(gains.m):
             pass
-        sums = matching_rates(snr.rho, gains.gains, pairs).sum(axis=-1).tolist()
+        sums = matching_rates(snr.rho, gains.gains, pairs).sum(axis=-1)
     n = gains.m
     names = [f"({u // n + 1},{u % n + 1})" for u in range(n * n)]  # names[i*n + j]: "(i+1,j+1)"
     pair_names = map(names.__getitem__, (pairs[..., 0] * n + pairs[..., 1]).ravel().tolist())
     labels = list(map(",".join, zip(*[pair_names] * (n // 2))))  # K pair names per matching
     keys = np.array(labels, dtype=bytes)  # ASCII, so bytes sort as the labels do
     # descending sum rate; the near-far policy wins exact ties, then label order
-    order = np.lexsort((keys, keys != str(near_far).encode(), -np.array(sums)))
-    rows = [[labels[i], sums[i]] for i in order.tolist()]
+    order = np.lexsort((keys, keys != str(near_far).encode(), -sums))
+    rows = list(zip(map(labels.__getitem__, order.tolist()), sums[order].tolist()))
     return _write_table(args, config, ["policy", "sum_noma"], rows)
 
 

@@ -153,12 +153,18 @@ class TestBounds:
         assert interval.upper == pytest.approx(0.5, rel=1e-6)
 
     def test_optimum_sits_on_the_upper_bound(self):
+        # both against (1+s1)*s1/x1, s1 = sqrt(1+x1) - 1, in 60-digit decimals
         for rho in RHO_GRID:
             snr = TransmitSnr(float(rho))
             for g1 in G1_GRID:
+                with decimal.localcontext(decimal.Context(prec=60)):
+                    x1 = decimal.Decimal(float(rho) * float(g1))
+                    s1 = (1 + x1).sqrt() - 1
+                    ref = float((1 + s1) * s1 / x1)
                 upper = strong_share_bounds(snr, float(g1), 3.0 * float(g1)).upper
                 a2 = optimal_two_user(snr, float(g1)).alphas[1]
-                assert abs(a2 - upper) <= 1e-12 * upper
+                assert abs(upper - ref) <= 1e-14 * ref
+                assert abs(a2 - ref) <= 1e-14 * ref
 
     @given(
         rho=st.floats(min_value=1e-2, max_value=1e4),
@@ -173,6 +179,33 @@ class TestBounds:
     def test_rejects_swapped_gains(self):
         with pytest.raises(ValidationError):
             strong_share_bounds(SNR10, 2.0, 0.3)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "exponents", [range(-30, 31), range(-300, 301, 20)], ids=["1e-30..1e30", "1e-300..1e300"]
+    )
+    def test_is_total_on_extreme_grids(self, exponents):
+        # every (rho, g1 <= g2) on a decade grid: an interval, or one of the
+        # documented errors, never the interval type's own complaint
+        values = [10.0**e for e in exponents]
+        for rho in values:
+            snr = TransmitSnr(rho)
+            for i, g1 in enumerate(values):
+                for g2 in values[i:]:
+                    try:
+                        interval = strong_share_bounds(snr, g1, g2)
+                    except (ValidationError, allocation.InfeasibleIntervalError) as exc:
+                        assert not str(exc).startswith(("interval ends", "interval must"))
+                    else:
+                        assert 0.0 < interval.lower <= interval.upper < 1.0
+
+    def test_upper_end_rounding_to_one_names_rho_g1(self):
+        with pytest.raises(ValidationError, match=r"rho\*g1 of 1e\+33"):
+            strong_share_bounds(TransmitSnr(1e30), 1e3, 1e4)
+        with pytest.raises(ValidationError, match="positive, finite and normal"):
+            strong_share_bounds(TransmitSnr(1e-300), 1e-10, 1.0)
+        with pytest.raises(ValidationError, match="positive, finite and normal"):
+            strong_share_bounds(TransmitSnr(1e300), 1.0, 1e10)
 
     def test_interval_type_rejects_disorder(self):
         with pytest.raises(ValidationError):

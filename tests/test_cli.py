@@ -9,6 +9,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import uplink_noma.cli as cli
 import uplink_noma.sim as sim
@@ -141,6 +143,69 @@ class TestPair:
         gains = [str(v) for v in np.linspace(0.1, 2.0, 14)]
         code, _, _ = _run(capsys, "pair", "--gains", *gains, "--snr-db", "10", "--oracle")
         assert code == 2
+
+
+def _row_wise_csv(columns, rows):
+    """The CSV renderer as it was before it went column-wise."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([c if isinstance(c, str) else format(float(c), ".9g") for c in row])
+    return buffer.getvalue()
+
+
+def _row_wise_json(columns, rows, meta):
+    """The JSON renderer as it was before it went column-wise."""
+    payload = dict(meta or {})
+    payload["columns"] = list(columns)
+    payload["rows"] = [
+        {
+            name: (c if isinstance(c, str) else float(format(float(c), ".9g")))
+            for name, c in zip(columns, row)
+        }
+        for row in rows
+    ]
+    return json.dumps(payload, indent=2) + "\n"
+
+
+# cells the csv module quotes, doubles or special-cases, plus non-ASCII text
+_STRINGS = st.lists(
+    st.sampled_from([",", '"', "\r", "\n", "a", "(1,2)", " ", "é", "→"]), max_size=4
+).map("".join)
+_REALS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -2.5e-7]),
+    st.floats(),
+).flatmap(lambda v: st.sampled_from([v, np.float64(v)]))
+
+
+@st.composite
+def _tables(draw):
+    """(columns, rows) whose columns are each all strings or all reals."""
+    kinds = draw(st.lists(st.sampled_from([_STRINGS, st.text(), _REALS]), min_size=1, max_size=4))
+    n_rows = draw(st.integers(0, 5))
+    names = _STRINGS | st.just("sum_noma")
+    columns = draw(st.lists(names, min_size=len(kinds), max_size=len(kinds)))
+    cells = [draw(st.lists(kind, min_size=n_rows, max_size=n_rows)) for kind in kinds]
+    return columns, [list(row) for row in zip(*cells)]
+
+
+class TestRenderers:
+    @given(table=_tables())
+    @settings(max_examples=400, deadline=None)
+    def test_column_wise_renderers_match_the_row_wise_ones(self, table):
+        columns, rows = table
+        assert cli._render_csv(columns, rows) == _row_wise_csv(columns, rows)
+        meta = {"mode": "two-user-sum"}
+        assert cli._render_json(columns, rows, meta) == _row_wise_json(columns, rows, meta)
+
+    @pytest.mark.parametrize(
+        "cells", [["(1,2)", "x"], ['say "hi"'], ["a\rb"], ["a\nb"], ["", "b"], ["ünï,côdé"]]
+    )
+    def test_string_columns_match_the_row_wise_renderer(self, cells):
+        for columns in (["policy"], ["policy", "sum_noma"]):
+            rows = [[cell, 1.5][: len(columns)] for cell in cells]
+            assert cli._render_csv(columns, rows) == _row_wise_csv(columns, rows)
 
 
 class TestSweep:
