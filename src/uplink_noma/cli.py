@@ -25,6 +25,7 @@ import numpy as np
 from .model import ChannelGains, TransmitSnr, ValidationError, log2_1p
 from .allocation import InfeasibleIntervalError, optimal_m_user
 from .pairing import (
+    OMA_BASELINES,
     enumerate_matchings,
     matching_array,
     matching_rates,
@@ -32,15 +33,7 @@ from .pairing import (
     pair_indices,
     pairing_sum_rate,
 )
-from .sim import (
-    DEFAULT_GROUP_SIZE,
-    DEFAULT_SEED,
-    DEFAULT_TRIALS,
-    MODES,
-    SERIES_BY_MODE,
-    SweepConfig,
-    run_sweep,
-)
+from .sim import DEFAULT_GROUP_SIZE, DEFAULT_SEED, DEFAULT_TRIALS, MODES, SweepConfig, run_sweep
 
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
@@ -51,38 +44,75 @@ SEED_ENV_VAR = "UPLINK_NOMA_SEED"
 # most points a sweep's SNR grid may hold; a longer grid exits 2 before any
 # point is built, instead of overflowing or running without end
 MAX_GRID_POINTS = 100_000
+# largest `alloc --m`; a larger group exits 2 before its shares are allocated
+MAX_GROUP_SIZE = 100_000
 
-# every key a config file may supply, with its parser
-_CONFIG_PARSERS = {
-    "snr_db": float,
-    "g1": float,
-    "m": int,
-    "gains": lambda text: [float(v) for v in text.replace(",", " ").split()],
-    "oracle": lambda text: _parse_bool(text, "oracle"),
-    "oma_baseline": str,
-    "mode": str,
-    "users": int,
-    "snr_start": float,
-    "snr_stop": float,
-    "snr_step": float,
-    "trials": int,
-    "seed": int,
-    "format": str,
-    "output": str,
+# every option once, in --help order: dest -> (subcommands, add_argument
+# keywords). The flag is "--" plus the dest with dashes; a config file key is
+# the dest, and its value is parsed as the flag's (see _config_value).
+_OPTIONS = {
+    "gains": (("pair",), dict(type=float, nargs="+", help="channel gains, even count")),
+    "snr_db": (("alloc", "pair"), dict(type=float, help="transmit SNR in dB")),
+    "g1": (("alloc",), dict(type=float, help="weakest user's channel gain |h1|^2")),
+    "m": (("alloc",), dict(type=int, help="group size (default 2)")),
+    "oracle": (
+        ("pair",),
+        dict(
+            action="store_true", default=None, help="rank every perfect matching (up to 12 users)"
+        ),
+    ),
+    "oma_baseline": (
+        ("pair",),
+        dict(
+            choices=OMA_BASELINES,
+            help="orthogonal baseline: half of each pair's resource, or 1/(2K) of the band",
+        ),
+    ),
+    "mode": (("sweep",), dict(choices=tuple(MODES), help="which comparison to average")),
+    "users": (("sweep",), dict(type=int, help="group size (2, 4, or M for m-user-group)")),
+    "snr_start": (("sweep",), dict(type=float, help="grid start in dB")),
+    "snr_stop": (("sweep",), dict(type=float, help="grid stop in dB")),
+    "snr_step": (("sweep",), dict(type=float, help="grid step in dB")),
+    "trials": (("sweep",), dict(type=int, help="fading draws per grid point")),
+    "seed": (("sweep",), dict(type=int, help=f"root seed (env {SEED_ENV_VAR} overrides default)")),
+    "format": (("alloc", "pair", "sweep"), dict(choices=("csv", "json"), help="output format")),
+    "output": (("alloc", "pair", "sweep"), dict(help="output file (default stdout)")),
+    "config": (("alloc", "pair", "sweep"), dict(help="key = value config file supplying flags")),
 }
 
 
-def _parse_bool(text: str, key: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValidationError(f"config key {key!r} must be a boolean, got {text!r}")
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one `error:` line, like every other error."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"error: {message}\n")
 
 
-def _read_config(path: str) -> dict:
-    """Parse a key = value config file; '#' starts a comment."""
+def _parse_bool(text: str) -> bool:
+    if text.lower() not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ValueError(f"expected a boolean, got {text!r}")
+    return text.lower() in ("1", "true", "yes", "on")
+
+
+def _config_value(keywords: dict, text: str):
+    """One config value as its flag parses it: the same type and choices,
+    nargs values split on commas and spaces, store_true as a boolean."""
+    if keywords.get("action") == "store_true":
+        return _parse_bool(text)
+    words = text.replace(",", " ").split() if "nargs" in keywords else [text]
+    if not "".join(words):
+        raise ValueError("no value given")
+    values = [keywords.get("type", str)(word) for word in words]
+    for value in values:
+        if value not in keywords.get("choices", values):
+            choices = ", ".join(map(repr, keywords["choices"]))
+            raise ValueError(f"invalid choice: {value!r} (choose from {choices})")
+    return values if "nargs" in keywords else values[0]
+
+
+def _read_config(path: str, command: str) -> dict:
+    """Parse a key = value config file for one subcommand; '#' starts a
+    comment. Keys are the subcommand's flags, less `--config`."""
     options = {}
     try:
         with open(path, encoding="utf-8") as handle:
@@ -96,11 +126,11 @@ def _read_config(path: str) -> dict:
         if "=" not in line:
             raise ValidationError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
         key, _, value = line.partition("=")
-        key = key.strip().lower().replace("-", "_")
-        if key not in _CONFIG_PARSERS:
-            raise ValidationError(f"{path}:{lineno}: unknown config key {key!r}")
+        key, value = key.strip().lower().replace("-", "_"), value.strip()
+        if key == "config" or key not in _OPTIONS or command not in _OPTIONS[key][0]:
+            raise ValidationError(f"{path}:{lineno}: {command} takes no config key {key!r}")
         try:
-            options[key] = _CONFIG_PARSERS[key](value.strip())
+            options[key] = _config_value(_OPTIONS[key][1], value)
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
     return options
@@ -131,9 +161,10 @@ def _resolve(args, config: dict, dest: str, default=None, env_var: str | None = 
     return default
 
 
-def _require(args, config: dict, dest: str, flag: str):
+def _require(args, config: dict, dest: str):
     value = _resolve(args, config, dest)
     if value is None:
+        flag = "--" + dest.replace("_", "-")
         raise ValidationError(f"missing required option {flag} (flag or config file)")
     return value
 
@@ -200,9 +231,11 @@ def _write_table(args, config: dict, columns, rows, meta: dict | None = None) ->
 
 
 def cmd_alloc(args, config: dict) -> int:
-    snr_db = float(_require(args, config, "snr_db", "--snr-db"))
-    g1 = float(_require(args, config, "g1", "--g1"))
+    snr_db = float(_require(args, config, "snr_db"))
+    g1 = float(_require(args, config, "g1"))
     m = int(_resolve(args, config, "m", 2))
+    if m > MAX_GROUP_SIZE:
+        raise ValidationError(f"--m of {m} exceeds {MAX_GROUP_SIZE} users")
     snr = TransmitSnr.from_db(snr_db)
     alloc = optimal_m_user(snr, g1, m)
     # self check: at the optimum the weak user's rate equals its 1/m share
@@ -215,8 +248,8 @@ def cmd_alloc(args, config: dict) -> int:
 
 
 def cmd_pair(args, config: dict) -> int:
-    raw_gains = _require(args, config, "gains", "--gains")
-    snr_db = float(_require(args, config, "snr_db", "--snr-db"))
+    raw_gains = _require(args, config, "gains")
+    snr_db = float(_require(args, config, "snr_db"))
     oracle = bool(_resolve(args, config, "oracle", False))
     baseline = _resolve(args, config, "oma_baseline", "pair")
     values = np.sort(np.asarray([float(v) for v in raw_gains], dtype=float))
@@ -261,13 +294,10 @@ def _snr_grid(start: float, stop: float, step: float) -> tuple:
 
 
 def cmd_sweep(args, config: dict) -> int:
-    mode = _require(args, config, "mode", "--mode")
-    if mode not in MODES:
-        raise ValidationError(f"--mode must be one of {MODES}, got {mode!r}")
-    default_users = {"four-user-cases": 4, "m-user-group": DEFAULT_GROUP_SIZE}.get(mode, 2)
+    mode = _require(args, config, "mode")
     sweep = SweepConfig(
         mode=mode,
-        users=int(_resolve(args, config, "users", default_users)),
+        users=int(_resolve(args, config, "users", MODES[mode][1] or DEFAULT_GROUP_SIZE)),
         snr_db=_snr_grid(
             float(_resolve(args, config, "snr_start", -10.0)),
             float(_resolve(args, config, "snr_stop", 30.0)),
@@ -277,61 +307,26 @@ def cmd_sweep(args, config: dict) -> int:
         seed=int(_resolve(args, config, "seed", DEFAULT_SEED, env_var=SEED_ENV_VAR)),
     )
     result = run_sweep(sweep)
-    names = SERIES_BY_MODE[mode]
-    columns = ["snr_db"] + list(names) + [f"{name}_stderr" for name in names]
-    rows = [
-        [db] + [result.series[n][i] for n in names] + [result.stderr[n][i] for n in names]
-        for i, db in enumerate(result.snr_db)
-    ]
+    columns = ["snr_db", *result.series, *(f"{name}_stderr" for name in result.series)]
+    rows = list(zip(result.snr_db, *result.series.values(), *result.stderr.values()))
     meta = {"mode": mode, "users": sweep.users, "trials": sweep.trials, "seed": sweep.seed}
     return _write_table(args, config, columns, rows, meta)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="uplink-noma",
         description="Optimal uplink NOMA power allocation, pairing, and fading sweeps.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    alloc = sub.add_parser("alloc", help="closed-form power fractions for one group")
-    alloc.add_argument("--snr-db", dest="snr_db", type=float, help="transmit SNR in dB")
-    alloc.add_argument("--g1", type=float, help="weakest user's channel gain |h1|^2")
-    alloc.add_argument("--m", type=int, help="group size (default 2)")
-    alloc.set_defaults(handler=cmd_alloc)
-
-    pair = sub.add_parser("pair", help="near-far pairing of sorted gains")
-    pair.add_argument("--gains", type=float, nargs="+", help="channel gains, even count")
-    pair.add_argument("--snr-db", dest="snr_db", type=float, help="transmit SNR in dB")
-    pair.add_argument(
-        "--oracle",
-        action="store_true",
-        default=None,
-        help="rank every perfect matching (up to 12 users)",
-    )
-    pair.add_argument(
-        "--oma-baseline",
-        dest="oma_baseline",
-        choices=["pair", "network"],
-        help="orthogonal baseline: half of each pair's resource, or 1/(2K) of the band",
-    )
-    pair.set_defaults(handler=cmd_pair)
-
-    sweep = sub.add_parser("sweep", help="seeded Monte Carlo sweep over Rayleigh fading")
-    sweep.add_argument("--mode", choices=list(MODES), help="which comparison to average")
-    sweep.add_argument("--users", type=int, help="group size (2, 4, or M for m-user-group)")
-    sweep.add_argument("--snr-start", dest="snr_start", type=float, help="grid start in dB")
-    sweep.add_argument("--snr-stop", dest="snr_stop", type=float, help="grid stop in dB")
-    sweep.add_argument("--snr-step", dest="snr_step", type=float, help="grid step in dB")
-    sweep.add_argument("--trials", type=int, help="fading draws per grid point")
-    sweep.add_argument("--seed", type=int, help=f"root seed (env {SEED_ENV_VAR} overrides default)")
-    sweep.set_defaults(handler=cmd_sweep)
-
-    for sub_parser in (alloc, pair, sweep):
-        sub_parser.add_argument("--format", choices=["csv", "json"], help="output format")
-        sub_parser.add_argument("--output", help="output file (default stdout)")
-        sub_parser.add_argument("--config", help="key = value config file supplying flags")
-
+    sub = parser.add_subparsers(dest="command", required=True)  # each a _Parser too
+    commands = {
+        "alloc": sub.add_parser("alloc", help="closed-form power fractions for one group"),
+        "pair": sub.add_parser("pair", help="near-far pairing of sorted gains"),
+        "sweep": sub.add_parser("sweep", help="seeded Monte Carlo sweep over Rayleigh fading"),
+    }
+    for dest, (names, keywords) in _OPTIONS.items():
+        for name in names:
+            commands[name].add_argument("--" + dest.replace("_", "-"), **keywords)
     return parser
 
 
@@ -339,8 +334,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _read_config(args.config) if args.config else {}
-        return args.handler(args, config)
+        config = _read_config(args.config, args.command) if args.config else {}
+        handler = {"alloc": cmd_alloc, "pair": cmd_pair, "sweep": cmd_sweep}[args.command]
+        return handler(args, config)
     except InfeasibleIntervalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

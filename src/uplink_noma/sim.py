@@ -6,8 +6,9 @@ independent: trial t of point p is words t*M .. t*M+M-1 of the point's own
 Philox stream, so averages are reproducible bit for bit regardless of
 execution order or batching. Each grid point draws its whole (trials, M)
 gain matrix, at most MAX_GAINS_PER_POINT gains, in one `sample_gain_rows`
-call and evaluates the mode's kernel on it as arrays. `run_sweep` reads the
-mode's kernel from one table; the four-user cases use `matching_rates`.
+call and evaluates the mode's kernel on it as arrays. Each mode's columns,
+group size and kernel live in one table, `MODES`, which `SweepConfig`,
+`run_sweep` and the CLI read; the four-user cases use `matching_rates`.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from .allocation import m_user_shares
 from .channel import SeedSpec, sample_gain_rows
 from .pairing import FOUR_USER_PAIRS, matching_rates
 
-MODES = ("two-user-rates", "two-user-sum", "four-user-cases", "m-user-group")
-
 DEFAULT_SNR_DB = tuple(float(db) for db in range(-10, 31, 5))
 DEFAULT_TRIALS = 10_000
 DEFAULT_SEED = 42
@@ -33,12 +32,31 @@ DEFAULT_GROUP_SIZE = 12
 # all at once, so a larger sweep is refused before anything is allocated
 MAX_GAINS_PER_POINT = 2**26
 
-# column names per mode, means first, matching CLI output order
-SERIES_BY_MODE = {
-    "two-user-rates": ("R1_noma", "R2_noma", "R1_oma", "R2_oma"),
-    "two-user-sum": ("sum_noma", "sum_oma"),
-    "four-user-cases": ("case1", "case2", "case3"),
-    "m-user-group": ("sum_noma", "sum_oma"),
+
+def _two_user_rates(rho, gains):
+    noma = sic_rates(rho, m_user_shares(rho * gains[:, 0], 2), gains)
+    return (*noma.T, *(0.5 * log2_1p(rho * gains)).T)
+
+
+def _group_and_oma_sums(rho, gains):
+    """Each row's recursive-split NOMA sum (at two users, the optimal pair)
+    and its 1/M orthogonal sum."""
+    noma = group_sum_rate(rho, m_user_shares(rho * gains[:, 0], gains.shape[1]), gains)
+    return noma, np.sum(log2_1p(rho * gains), axis=1) / gains.shape[1]
+
+
+def _four_user_sums(rho, gains):
+    return matching_rates(rho, gains, FOUR_USER_PAIRS).sum(axis=-1).T
+
+
+# mode -> (series columns, means first, in CLI output order; the group size
+# the mode requires, or None for any; per-point kernel: (rho, (trials, users)
+# gain matrix) -> one array of per-trial samples for each column)
+MODES = {
+    "two-user-rates": (("R1_noma", "R2_noma", "R1_oma", "R2_oma"), 2, _two_user_rates),
+    "two-user-sum": (("sum_noma", "sum_oma"), 2, _group_and_oma_sums),
+    "four-user-cases": (("case1", "case2", "case3"), 4, _four_user_sums),
+    "m-user-group": (("sum_noma", "sum_oma"), None, _group_and_oma_sums),
 }
 
 
@@ -54,13 +72,12 @@ class SweepConfig:
 
     def __post_init__(self):
         if self.mode not in MODES:
-            raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
+            raise ValidationError(f"mode must be one of {tuple(MODES)}, got {self.mode!r}")
         if not (isinstance(self.users, (int, np.integer)) and self.users >= 2):
             raise ValidationError(f"users must be an integer >= 2, got {self.users!r}")
-        if self.mode.startswith("two-user") and self.users != 2:
-            raise ValidationError(f"{self.mode} requires users=2, got {self.users}")
-        if self.mode == "four-user-cases" and self.users != 4:
-            raise ValidationError(f"{self.mode} requires users=4, got {self.users}")
+        size = MODES[self.mode][1]
+        if size is not None and self.users != size:
+            raise ValidationError(f"{self.mode} requires users={size}, got {self.users}")
         if not (isinstance(self.trials, (int, np.integer)) and self.trials >= 1):
             raise ValidationError(f"trials must be an integer >= 1, got {self.trials!r}")
         if int(self.trials) * int(self.users) > MAX_GAINS_PER_POINT:
@@ -119,32 +136,9 @@ def _mean_and_stderr(samples: np.ndarray) -> tuple:
     return mean, float(samples.std(ddof=1) / math.sqrt(samples.size))
 
 
-def _two_user_rates(rho, gains):
-    noma = sic_rates(rho, m_user_shares(rho * gains[:, 0], 2), gains)
-    return (*noma.T, *(0.5 * log2_1p(rho * gains)).T)
-
-
-def _group_and_oma_sums(rho, gains):
-    """Each row's recursive-split NOMA sum (at two users, the optimal pair)
-    and its 1/M orthogonal sum."""
-    noma = group_sum_rate(rho, m_user_shares(rho * gains[:, 0], gains.shape[1]), gains)
-    return noma, np.sum(log2_1p(rho * gains), axis=1) / gains.shape[1]
-
-
-# mode -> per-point kernel: (rho, (trials, users) gain matrix) -> one array
-# of per-trial samples for each of the mode's SERIES_BY_MODE columns
-_KERNELS = {
-    "two-user-rates": _two_user_rates,
-    "two-user-sum": _group_and_oma_sums,
-    "four-user-cases": lambda rho, g: matching_rates(rho, g, FOUR_USER_PAIRS).sum(axis=-1).T,
-    "m-user-group": _group_and_oma_sums,
-}
-
-
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Average the per-point kernel of the config's mode over the SNR grid."""
-    kernel = _KERNELS[config.mode]
-    names = SERIES_BY_MODE[config.mode]
+    names, _, kernel = MODES[config.mode]
     series = {name: np.empty(len(config.snr_db)) for name in names}
     stderr = {name: np.empty(len(config.snr_db)) for name in names}
     for point, snr_db in enumerate(config.snr_db):

@@ -1,25 +1,29 @@
 """CLI tests: output formats, precedence, exit codes, atomic writes."""
 
 import csv
+import decimal
 import io
 import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import uplink_noma.allocation as allocation
 import uplink_noma.cli as cli
 import uplink_noma.sim as sim
 from uplink_noma import (
     ChannelGains,
     TransmitSnr,
     enumerate_matchings,
+    matching_array,
+    matching_rates,
     near_far_policy,
-    pairing_sum_rate,
 )
 from uplink_noma.allocation import InfeasibleIntervalError
 from uplink_noma.cli import main
@@ -34,6 +38,37 @@ def _run(capsys, *argv):
 def _parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     return rows[0], rows[1:]
+
+
+# gains the oracle tests rank: exact ties, then seeded draws
+ORACLE_GAINS = {
+    "12-equal": ["1"] * 12,
+    "equal-pairs": "1 1 2 2 3 3 4 4".split(),
+    "6-equal": ["1"] * 6,
+    **{
+        f"draw-{seed}": [
+            repr(g) for g in np.random.default_rng(seed).standard_exponential(12).tolist()
+        ]
+        for seed in (3, 4, 5)
+    },
+}
+
+
+def _closed_form_sums(rho, gains, matchings):
+    """Each matching's NOMA sum rate from the optimal two-user closed form,
+    in 60-digit decimal, never through the rate kernels. A pair with weak
+    x1 = rho*g_i and strong x2 = rho*g_j gives the weak user the share
+    (s - 1)/x1, s = sqrt(1 + x1), and sums to log2(s + (1 - (s - 1)/x1) x2)."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        x = [Decimal(rho) * Decimal(g) for g in gains]
+        ln2 = Decimal(2).ln()
+        pair = {}
+        for i, x1 in enumerate(x):
+            s = (1 + x1).sqrt()
+            for j in range(i + 1, len(x)):
+                pair[i, j] = (s + (1 - (s - 1) / x1) * x[j]).ln() / ln2
+        return np.array([float(sum(pair[i, j] for i, j in m)) for m in matchings])
 
 
 class TestAlloc:
@@ -107,26 +142,17 @@ class TestPair:
         assert code == 2
         assert "even" in err
 
-    @pytest.mark.parametrize(
-        "gains",
-        [
-            ["1"] * 12,
-            "1 1 2 2 3 3 4 4".split(),
-            ["1"] * 6,
-            *([repr(g) for g in np.random.default_rng(seed).standard_exponential(12).tolist()]
-              for seed in (3, 4, 5)),
-        ],
-        ids=["12-equal", "equal-pairs", "6-equal", "draw-3", "draw-4", "draw-5"],
-    )
+    @pytest.mark.parametrize("gains", list(ORACLE_GAINS.values()), ids=list(ORACLE_GAINS))
     def test_oracle_ranking_is_the_sort_by_sum_near_far_and_label(self, capsys, gains):
         # descending sum rate, the near-far policy first among exact ties,
-        # then the label, recomputed one policy at a time
+        # then the label; the sums are the batched kernel's, which
+        # test_oracle_sums_match_the_two_user_closed_form checks
         values = ChannelGains(np.sort(np.array(gains, dtype=float)))
         snr = TransmitSnr.from_db(10.0)
         near_far = near_far_policy(values.m // 2)
-        policies = enumerate_matchings(values.m)
+        sums = matching_rates(snr.rho, values.gains, matching_array(values.m)).sum(-1)
         scored = sorted(
-            ((pairing_sum_rate(values, p, snr).noma_sum, p) for p in policies),
+            zip(sums.tolist(), enumerate_matchings(values.m)),
             key=lambda s: (-s[0], s[1] != near_far, str(s[1])),
         )
         csv_rows = [[str(p), format(v, ".9g")] for v, p in scored]
@@ -138,6 +164,15 @@ class TestPair:
             assert _parse_csv(out)[1] == csv_rows
             _, out, _ = _run(capsys, *argv, "--format", "json")
             assert json.loads(out)["rows"] == json_rows
+
+    @pytest.mark.parametrize("gains", list(ORACLE_GAINS.values()), ids=list(ORACLE_GAINS))
+    def test_oracle_sums_match_the_two_user_closed_form(self, gains):
+        values = np.sort(np.array(gains, dtype=float))
+        rho = TransmitSnr.from_db(10.0).rho
+        pairs = matching_array(values.size)
+        sums = matching_rates(rho, values, pairs).sum(-1)
+        reference = _closed_form_sums(rho, values.tolist(), pairs.tolist())
+        assert np.all(np.abs(sums - reference) <= 1e-12 * reference)
 
     def test_oracle_respects_enumeration_cap(self, capsys):
         gains = [str(v) for v in np.linspace(0.1, 2.0, 14)]
@@ -350,11 +385,121 @@ class TestPrecedence:
         assert code == 2
 
 
+# one command per subcommand that needs nothing more, and a valid config
+# value for every option
+BASE_ARGV = {
+    "alloc": ["alloc", "--snr-db", "10", "--g1", "0.3"],
+    "pair": ["pair", "--gains", "0.3", "0.8", "--snr-db", "10"],
+    "sweep": ["sweep", "--mode", "two-user-sum", "--snr-stop", "0", "--trials", "5"],
+}
+VALID_VALUES = {
+    "gains": "0.3, 0.8 2.0,5.0",
+    "snr_db": "10",
+    "g1": "0.3",
+    "m": "3",
+    "oracle": "yes",
+    "oma_baseline": "network",
+    "mode": "two-user-sum",
+    "users": "2",
+    "snr_start": "0",
+    "snr_stop": "10",
+    "snr_step": "5",
+    "trials": "5",
+    "seed": "3",
+    "format": "json",
+    "output": "out.txt",
+    "config": "other.cfg",
+}
+
+# the same command from flags and from a config file: (flag, value) pairs,
+# None for a flag without a value
+SAME_COMMAND = {
+    "alloc": [("snr-db", "10"), ("g1", "0.7"), ("m", "3"), ("format", "json")],
+    "pair": [("gains", "0.3 0.8 2.0 5.0"), ("snr-db", "10"), ("oracle", None),
+             ("oma-baseline", "network")],
+    "sweep": [("mode", "m-user-group"), ("users", "3"), ("snr-start", "0"), ("snr-stop", "10"),
+              ("snr-step", "5"), ("trials", "50"), ("seed", "3"), ("format", "json")],
+}
+
+
+class TestConfigContract:
+    """A config file key is its flag: the same subcommands, type and choices."""
+
+    @pytest.mark.parametrize("command", list(BASE_ARGV))
+    @pytest.mark.parametrize("key", list(cli._OPTIONS))
+    def test_key_is_accepted_by_its_own_subcommands_only(
+        self, tmp_path, monkeypatch, capsys, key, command
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.cfg").write_text(f"# one option\n{key} = {VALID_VALUES[key]}\n")
+        code, out, err = _run(capsys, *BASE_ARGV[command], "--config", "c.cfg")
+        if command in cli._OPTIONS[key][0] and key != "config":
+            assert (code, err) == (0, "")
+        else:
+            assert code == 2
+            assert out == ""
+            assert err == f"error: c.cfg:2: {command} takes no config key {key!r}\n"
+
+    @pytest.mark.parametrize(
+        "command, line",
+        [
+            ("alloc", "format = xml"),
+            ("alloc", "format = JSON"),
+            ("sweep", "mode = bogus"),
+            ("pair", "oma_baseline = half"),
+            ("alloc", "output ="),
+            ("pair", "oracle = maybe"),
+            ("pair", "gains = ,"),
+            ("alloc", "m = 2.5"),
+        ],
+    )
+    def test_bad_value_is_one_error_line(self, tmp_path, monkeypatch, capsys, command, line):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.cfg").write_text(f"# one option\n{line}\n")
+        code, out, err = _run(capsys, *BASE_ARGV[command], "--config", "c.cfg")
+        key = line.split("=")[0].strip()
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: c.cfg:2: bad value for {key!r}: ")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", list(SAME_COMMAND))
+    def test_flags_and_config_file_print_the_same(self, tmp_path, capsys, command):
+        options = SAME_COMMAND[command]
+        argv = [command]
+        for flag, value in options:
+            argv += [f"--{flag}", *(value.split() if value else [])]
+        config = tmp_path / "c.cfg"
+        config.write_text("".join(f"{flag} = {value or 'yes'}\n" for flag, value in options))
+        code, from_flags, _ = _run(capsys, *argv)
+        assert code == 0
+        code, from_config, _ = _run(capsys, command, "--config", str(config))
+        assert code == 0
+        assert from_config == from_flags
+
+
 class TestExitCodes:
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["alloc", "--snr-db", "10", "--g1", "0.3", "--frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("alloc", "--snr-db", "10", "--g1", "0.3", "--m", "abc"),
+            ("alloc", "--snr-db", "10", "--g1", "0.3", "--format", "xml"),
+            ("alloc", "--snr-db", "10", "--g1", "0.3", "--frobnicate"),
+            (),  # no subcommand
+        ],
+    )
+    def test_argparse_error_is_one_error_line(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
     def test_infeasibility_maps_to_exit_3(self, capsys, monkeypatch):
         def explode(*args, **kwargs):
@@ -457,6 +602,30 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error:") and f"{sim.MAX_GAINS_PER_POINT} gains" in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("m", [cli.MAX_GROUP_SIZE + 1, 2**62])
+    def test_group_past_the_size_cap_exits_2(self, capsys, monkeypatch, m):
+        def refuse(*args, **kwargs):
+            raise AssertionError("alloc computed shares past the cap")
+
+        monkeypatch.setattr(allocation, "m_user_shares", refuse)
+        code, out, err = _run(capsys, "alloc", "--snr-db", "10", "--g1", "0.3", "--m", str(m))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and f"exceeds {cli.MAX_GROUP_SIZE} users" in err
+        assert len(err.splitlines()) == 1
+
+    def test_group_at_the_size_cap_reaches_the_allocator(self, capsys, monkeypatch):
+        sizes = []
+
+        def stop(x, m):
+            sizes.append(m)
+            raise cli.ValidationError("stopped before allocating")
+
+        monkeypatch.setattr(allocation, "m_user_shares", stop)
+        m = str(cli.MAX_GROUP_SIZE)
+        code, _, err = _run(capsys, "alloc", "--snr-db", "10", "--g1", "0.3", "--m", m)
+        assert (code, err, sizes) == (2, "error: stopped before allocating\n", [cli.MAX_GROUP_SIZE])
 
     @pytest.mark.parametrize("oracle", [(), ("--oracle",)])
     def test_pair_beyond_float_range_is_one_error_line(self, capsys, oracle):

@@ -17,7 +17,9 @@ EMPTY = hashlib.sha256(b"").hexdigest()  # no output at all
 BAD_BASELINE = "gains = 0.3 0.8 2.0 5.0\nsnr_db = 10\noracle = true\noma_baseline = half\n"
 
 # id: (argv, exit code, sha256 of stdout, sha256 of stderr); "{config}" in
-# argv is replaced by the path of a file holding BAD_BASELINE
+# argv is replaced by the path of a file holding BAD_BASELINE. The tests run
+# in a fresh directory where that path is pair.cfg, so an error naming the
+# file reads the same on every run.
 GOLDEN = {
     "sweep-two-user-rates": (
         ["sweep", "--mode", "two-user-rates", "--seed", "42"],
@@ -153,7 +155,7 @@ GOLDEN = {
         ["pair", "--config", "{config}"],
         2,
         EMPTY,
-        "d4a85638a912dfb93f3a346bf7996f61cdc1641646492e433f53ee43233833bd",
+        "9bfd8fb489de7321935af79138288db0b8efab329e0f61f109055db7a4361aa9",
     ),
     "alloc-5": (
         ["alloc", "--snr-db", "10", "--g1", "0.3", "--m", "5"],
@@ -176,8 +178,8 @@ def run_golden(argv, config_path, capsys):
 
 
 @pytest.mark.parametrize("name", list(GOLDEN))
-def test_output_is_pinned(name, tmp_path, capsys):
+def test_output_is_pinned(name, tmp_path, monkeypatch, capsys):
     argv, code, out_digest, err_digest = GOLDEN[name]
-    config_path = tmp_path / "pair.cfg"
-    config_path.write_text(BAD_BASELINE, encoding="utf-8")
-    assert run_golden(argv, config_path, capsys) == (code, out_digest, err_digest)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pair.cfg").write_text(BAD_BASELINE, encoding="utf-8")
+    assert run_golden(argv, "pair.cfg", capsys) == (code, out_digest, err_digest)

@@ -173,6 +173,14 @@ class TestPairingSumRate:
         for trial, gains in enumerate(batch):
             assert np.array_equal(rates[trial], matching_rates(SNR10.rho, gains, pairs))
 
+    def test_equals_the_batched_sums_over_every_ten_user_matching(self):
+        gains = ChannelGains(np.sort(np.random.default_rng(8).standard_exponential(10)))
+        sums = matching_rates(SNR10.rho, gains.gains, matching_array(10)).sum(axis=-1)
+        policies = list(enumerate_matchings(10))
+        assert len(policies) == len(sums) == 945
+        for policy, total in zip(policies, sums.tolist()):
+            assert pairing_sum_rate(gains, policy, SNR10).noma_sum == total
+
     def test_network_baseline_splits_the_whole_band(self):
         pair_report = pairing_sum_rate(GAINS4, near_far_policy(2), SNR10, "pair")
         net_report = pairing_sum_rate(GAINS4, near_far_policy(2), SNR10, "network")

@@ -1,6 +1,7 @@
 """The README's command-line examples, run through `cli.main`: each printed
 block must be the command's exact stdout, so the examples cannot go stale."""
 
+import json
 import shlex
 from pathlib import Path
 
@@ -37,3 +38,13 @@ def test_every_subcommand_has_an_example():
 def test_example_prints_its_readme_block(capsys, argv, printed):
     assert main(argv) == 0
     assert capsys.readouterr().out == printed
+
+
+def test_configuration_example_runs_as_a_sweep_config(tmp_path, capsys):
+    section = README.read_text(encoding="utf-8").split("## Configuration", 1)[1]
+    block = section.split("```", 2)[1]
+    config = tmp_path / "example.cfg"
+    config.write_text(block, encoding="utf-8")
+    assert main(["sweep", "--config", str(config)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["mode"], payload["trials"], payload["seed"]) == ("four-user-cases", 5000, 7)
