@@ -11,7 +11,8 @@ its own and results do not depend on execution order. Trial t of an m-user
 draw at point p is words t*m .. t*m+m-1 of the raw stream of a Philox keyed
 on the seed with its counter at [0, 0, p, 0]. `sample_gain_rows` reaches a
 run of trials in O(1) through `advance`, draws its words in one call, maps
-them to exponentials and validates the sorted matrix once;
+them to exponentials, orders each row (two-user rows by one compare-exchange,
+larger rows by a row sort) and validates the matrix once;
 `sample_rayleigh_gains` is its one-row view.
 """
 
@@ -76,7 +77,13 @@ def sample_gain_rows(m: int, spec: SeedSpec, count: int) -> np.ndarray:
     blocks, skip = divmod(first * m, 4)  # Philox emits four words per counter step
     bit_gen.advance(blocks)
     rows = unit_exponentials(bit_gen.random_raw(skip + count * m)[skip:]).reshape(count, m)
-    rows.sort(axis=1)
+    if m == 2:  # one compare-exchange orders a pair, far cheaper than a row sort
+        weak, strong = rows.T
+        low = np.minimum(weak, strong)
+        np.maximum(weak, strong, out=strong)
+        weak[:] = low
+    else:
+        rows.sort(axis=1)
     check_gains(rows)
     return rows
 

@@ -112,8 +112,8 @@ def _config_value(keywords: dict, text: str):
 
 def _read_config(path: str, command: str) -> dict:
     """Parse a key = value config file for one subcommand; '#' starts a
-    comment. Keys are the subcommand's flags, less `--config`."""
-    options = {}
+    comment. Keys are the subcommand's flags, less `--config`, each given once."""
+    options, first_line = {}, {}
     try:
         with open(path, encoding="utf-8") as handle:
             lines = handle.readlines()
@@ -129,6 +129,11 @@ def _read_config(path: str, command: str) -> dict:
         key, value = key.strip().lower().replace("-", "_"), value.strip()
         if key == "config" or key not in _OPTIONS or command not in _OPTIONS[key][0]:
             raise ValidationError(f"{path}:{lineno}: {command} takes no config key {key!r}")
+        if key in first_line:
+            raise ValidationError(
+                f"{path}:{lineno}: repeated key {key!r} (first on line {first_line[key]})"
+            )
+        first_line[key] = lineno
         try:
             options[key] = _config_value(_OPTIONS[key][1], value)
         except (TypeError, ValueError) as exc:

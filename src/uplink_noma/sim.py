@@ -129,29 +129,32 @@ class SweepResult:
             raise ValidationError("series and stderr must report the same columns")
 
 
-def _mean_and_stderr(samples: np.ndarray) -> tuple:
-    mean = float(samples.mean())
-    if samples.size < 2:
-        return mean, 0.0
-    return mean, float(samples.std(ddof=1) / math.sqrt(samples.size))
+def _mean_and_stderr(samples) -> tuple:
+    """Mean and standard error (0 at one trial) of each equal-length series,
+    reduced at once along the trial axis of their C-contiguous stack; a
+    strided view would be summed in another order and differ in the ulps."""
+    stack = np.stack(samples)
+    mean = stack.mean(axis=1)
+    if stack.shape[1] < 2:
+        return mean, np.zeros_like(mean)
+    return mean, stack.std(axis=1, ddof=1) / math.sqrt(stack.shape[1])
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Average the per-point kernel of the config's mode over the SNR grid."""
     names, _, kernel = MODES[config.mode]
-    series = {name: np.empty(len(config.snr_db)) for name in names}
-    stderr = {name: np.empty(len(config.snr_db)) for name in names}
+    means = np.empty((len(names), len(config.snr_db)))
+    errors = np.empty_like(means)
     for point, snr_db in enumerate(config.snr_db):
         rho = TransmitSnr.from_db(snr_db).rho
         gains = sample_gain_rows(config.users, SeedSpec(config.seed, point), config.trials)
-        for name, samples in zip(names, kernel(rho, gains)):
-            series[name][point], stderr[name][point] = _mean_and_stderr(samples)
+        means[:, point], errors[:, point] = _mean_and_stderr(kernel(rho, gains))
     return SweepResult(
         mode=config.mode,
         users=config.users,
         snr_db=np.asarray(config.snr_db),
-        series=series,
-        stderr=stderr,
+        series=dict(zip(names, means)),
+        stderr=dict(zip(names, errors)),
         trials=config.trials,
         seed=config.seed,
     )

@@ -5,6 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uplink_noma import SeedSpec, ValidationError, sample_gain_rows, sample_rayleigh_gains
 from uplink_noma.channel import unit_exponentials
@@ -77,15 +79,40 @@ class TestBatchedStream:
         assert not np.array_equal(draw(0, 2**63 + 1), draw(0, 2**63))
         assert not np.array_equal(draw(2**63 + 1, 0), draw(2**63, 0))
 
-    def test_peak_memory_is_the_words_plus_the_result(self):
-        # the raw words are shifted in place and mapped to one float array
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_peak_memory_is_the_words_plus_the_result(self, m):
+        # the raw words are shifted in place and mapped to one float array;
+        # at m = 2 the compare-exchange's one-column temporary stays under it
         tracemalloc.start()
         try:
-            rows = sample_gain_rows(4, SeedSpec(3, 1, 7), 2**18)
+            rows = sample_gain_rows(m, SeedSpec(3, 1, 7), 2**20 // m)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * rows.nbytes
+
+    @given(
+        m=st.integers(2, 33),
+        seed=st.integers(0, 2**64 - 1),
+        point=st.integers(0, 2**64 - 1),
+        first=st.integers(0, 2**64 - 1),
+        count=st.integers(1, 200),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_rows_are_the_sorted_words_finite_positive_and_ascending(
+        self, m, seed, point, first, count
+    ):
+        first = min(first, 2**64 - count)
+        rows = sample_gain_rows(m, SeedSpec(seed, point, first), count)
+        assert rows.shape == (count, m)
+        assert np.all(np.isfinite(rows)) and np.all(rows > 0.0)
+        assert np.all(np.diff(rows, axis=1) >= 0.0)
+        # the same words, drawn and mapped apart from the sampler, then sorted
+        bit_gen = np.random.Philox(key=seed, counter=np.array([0, 0, point, 0], dtype=np.uint64))
+        blocks, skip = divmod(first * m, 4)
+        bit_gen.advance(blocks)
+        words = bit_gen.random_raw(skip + count * m)[skip:]
+        assert np.array_equal(rows, np.sort(unit_exponentials(words).reshape(count, m), axis=1))
 
     def test_rejects_empty_and_overflowing_ranges(self):
         for count in (0, -3, 2.0):

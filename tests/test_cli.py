@@ -463,6 +463,20 @@ class TestConfigContract:
         assert err.startswith(f"error: c.cfg:2: bad value for {key!r}: ")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "first, repeat",
+        [("g1 = 0.3", "g1 = 0.8"), ("snr_db = 10", "SNR-DB = 10"), ("g1 = 0.3", "g1 = 0.3")],
+    )
+    def test_repeated_key_is_one_error_line(self, tmp_path, monkeypatch, capsys, first, repeat):
+        # a later line must not silently override an earlier one, whichever
+        # spelling of the key it uses and even when the values agree
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.cfg").write_text(f"{first}\n# comment\nformat = csv\n{repeat}\n")
+        code, out, err = _run(capsys, "alloc", "--snr-db", "10", "--config", "c.cfg")
+        key = first.split("=")[0].strip()
+        assert (code, out) == (2, "")
+        assert err == f"error: c.cfg:4: repeated key {key!r} (first on line 1)\n"
+
     @pytest.mark.parametrize("command", list(SAME_COMMAND))
     def test_flags_and_config_file_print_the_same(self, tmp_path, capsys, command):
         options = SAME_COMMAND[command]

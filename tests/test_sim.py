@@ -1,5 +1,8 @@
 """Monte Carlo sweep tests: determinism, reductions, vectorized-path parity."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,7 @@ from uplink_noma import (
     run_sweep,
     sample_rayleigh_gains,
 )
+from uplink_noma.sim import _mean_and_stderr
 
 SMALL_GRID = (-10.0, 0.0, 10.0, 20.0)
 
@@ -201,3 +205,27 @@ class TestSweepProperties:
             SweepConfig(mode="m-user-group", users=2, snr_db=grid, trials=300, seed=8)
         )
         assert _result_tables_equal(pair_sum, group)
+
+
+class TestStackedReducer:
+    """One reduction for all series equals each series' own 1-d reductions."""
+
+    @pytest.mark.parametrize("trials", [1, 2, 7, 10_000])
+    @pytest.mark.parametrize("series", [2, 3, 4])
+    @pytest.mark.parametrize("as_rows", [True, False])
+    def test_equals_per_series_mean_and_stderr_bit_for_bit(self, trials, series, as_rows):
+        # the kernels return the columns of (trials, series) matrices, which
+        # are strided views; the transposed matrix itself is strided too
+        matrix = np.random.default_rng([trials, series]).exponential(size=(trials, series))
+        samples = tuple(matrix.T) if as_rows else matrix.T
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            mean, stderr = _mean_and_stderr(samples)
+        columns = [matrix[:, i] for i in range(series)]
+        assert np.array_equal(mean, [column.mean() for column in columns])
+        if trials == 1:
+            assert np.array_equal(stderr, np.zeros(series))
+        else:
+            expected = [column.std(ddof=1) / math.sqrt(column.size) for column in columns]
+            assert np.array_equal(stderr, expected)
+            assert np.all(stderr > 0.0)
