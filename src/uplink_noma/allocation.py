@@ -186,7 +186,7 @@ def protected_m_user(snr: TransmitSnr, gains: ChannelGains) -> PowerAllocation:
     exactly on the floor.
     """
     m = gains.m
-    check_received_snr(snr, gains)
+    check_received_snr(snr.rho, gains.gains)
     x = snr.rho * gains.gains
     root_log = np.log1p(x) / m  # log of (1 + rho*g_i)^(1/M)
     prefix = np.exp(np.concatenate(([0.0], np.cumsum(root_log[:-1]))))  # P_{i-1}

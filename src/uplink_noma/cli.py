@@ -2,18 +2,15 @@
 
 All SNR flags take dB values and are converted internally via
 rho = 10^(dB/10). Every numeric output is rendered with 9 significant
-digits, identically in CSV and JSON. CSV text is quoted as csv.writer's
-QUOTE_MINIMAL quotes it, so only cells holding a comma are quoted; a table
-with a quote, CR, LF or empty text cell goes through csv.writer itself. File
-output is written to a temporary file in the target directory and renamed
-into place.
+digits, identically in CSV and JSON. CSV text (matching labels and column
+names) is never empty and holds no quote, CR or LF, so a cell is quoted
+just when it holds a comma, as csv's QUOTE_MINIMAL does. File output is
+written to a temporary file in the target directory and renamed into place.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
@@ -25,7 +22,6 @@ import numpy as np
 from .model import ChannelGains, TransmitSnr, ValidationError, log2_1p
 from .allocation import InfeasibleIntervalError, optimal_m_user
 from .pairing import (
-    OMA_BASELINES,
     enumerate_matchings,
     matching_array,
     matching_rates,
@@ -59,13 +55,6 @@ _OPTIONS = {
         ("pair",),
         dict(
             action="store_true", default=None, help="rank every perfect matching (up to 12 users)"
-        ),
-    ),
-    "oma_baseline": (
-        ("pair",),
-        dict(
-            choices=OMA_BASELINES,
-            help="orthogonal baseline: half of each pair's resource, or 1/(2K) of the band",
         ),
     ),
     "mode": (("sweep",), dict(choices=tuple(MODES), help="which comparison to average")),
@@ -178,24 +167,13 @@ def _quote_minimal(cell: str) -> str:
     return f'"{cell}"' if "," in cell else cell
 
 
-def _only_commas_need_quotes(cells) -> bool:
-    """True when no cell is empty or holds a quote, CR or LF. Then QUOTE_MINIMAL
-    quotes just the cells with a comma; other tables go through csv.writer."""
-    text = "".join(cells)
-    return all(cells) and not ('"' in text or "\r" in text or "\n" in text)
-
-
 def _render_csv(columns, rows) -> str:
-    # column by column, each all strings or all reals; cells are made lazily,
-    # so only the finished lines and the text are ever held whole
+    # column by column, each all strings or all reals, made lazily so only the
+    # finished lines are held whole. Text cells and names are non-empty and
+    # hold no quote, CR or LF, so quoting those with a comma is QUOTE_MINIMAL
     table = [(column, isinstance(column[0], str)) for column in zip(*rows)]
-    if all(_only_commas_need_quotes(c) for c, text in [(columns, True), *table] if text):
-        cells = zip(*[map(_quote_minimal if text else _fmt, c) for c, text in table])
-        return "\n".join([",".join(map(_quote_minimal, columns)), *map(",".join, cells), ""])
-    buffer = io.StringIO()
-    cells = zip(*[c if text else map(_fmt, c) for c, text in table])
-    csv.writer(buffer, lineterminator="\n").writerows([columns, *cells])
-    return buffer.getvalue()
+    cells = zip(*[map(_quote_minimal if text else _fmt, c) for c, text in table])
+    return "\n".join([",".join(map(_quote_minimal, columns)), *map(",".join, cells), ""])
 
 
 def _render_json(columns, rows, meta: dict | None = None) -> str:
@@ -256,7 +234,6 @@ def cmd_pair(args, config: dict) -> int:
     raw_gains = _require(args, config, "gains")
     snr_db = float(_require(args, config, "snr_db"))
     oracle = bool(_resolve(args, config, "oracle", False))
-    baseline = _resolve(args, config, "oma_baseline", "pair")
     values = np.sort(np.asarray([float(v) for v in raw_gains], dtype=float))
     if values.size % 2:
         raise ValidationError(f"--gains needs an even number of values, got {values.size}")
@@ -264,7 +241,7 @@ def cmd_pair(args, config: dict) -> int:
     snr = TransmitSnr.from_db(snr_db)
     near_far = near_far_policy(gains.m // 2)
     pairs = matching_array(gains.m) if oracle else pair_indices([near_far])
-    sums = np.array([pairing_sum_rate(gains, near_far, snr, baseline).noma_sum])  # checks baseline
+    sums = np.array([pairing_sum_rate(gains, near_far, snr).noma_sum])  # checks rho*g
     if oracle:
         # drawn once for perfbench's matching counter, until ROADMAP item 1 re-keys it
         for _ in enumerate_matchings(gains.m):

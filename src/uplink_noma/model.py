@@ -148,11 +148,12 @@ class RateReport:
         object.__setattr__(self, "oma_rates", ro)
 
 
-def check_received_snr(snr: TransmitSnr, gains: ChannelGains) -> None:
-    """Raise unless every rho*g_i is positive, finite and normal (at least
-    MIN_RECEIVED_SNR). Gains ascend, so the end products bound them all;
-    Python floats overflow to inf without the RuntimeWarning numpy would emit."""
-    lowest, highest = snr.rho * float(gains.gains[0]), snr.rho * float(gains.gains[-1])
+def check_received_snr(rho, gains) -> None:
+    """Raise unless every rho*g, for rho and g positive numbers or arrays, is
+    finite and normal (at least MIN_RECEIVED_SNR). The extreme products bound
+    them all; Python floats overflow to inf without numpy's RuntimeWarning."""
+    lowest = float(np.min(rho)) * float(np.min(gains))
+    highest = float(np.max(rho)) * float(np.max(gains))
     if not (lowest >= MIN_RECEIVED_SNR and math.isfinite(highest)):
         raise ValidationError("rho*g must be positive, finite and normal")
 

@@ -160,7 +160,7 @@ def pairing_sum_rate(
     OMA baseline either halves each pair's resource ("pair", default) or
     gives every user a 1/(2K) share of the whole band ("network").
     """
-    check_received_snr(snr, gains)
+    check_received_snr(snr.rho, gains.gains)
     if oma_baseline not in OMA_BASELINES:
         raise ValidationError(
             f"oma_baseline must be one of {OMA_BASELINES}, got {oma_baseline!r}"
@@ -196,6 +196,7 @@ def four_user_cases(gains: ChannelGains, snr: TransmitSnr) -> FourUserCases:
     """Sum rates of all three pairings of a four-user group."""
     if gains.m != 4:
         raise DimensionError(f"four_user_cases needs exactly 4 gains, got {gains.m}")
+    check_received_snr(snr.rho, gains.gains)
     sums = matching_rates(snr.rho, gains.gains, FOUR_USER_PAIRS).sum(axis=-1)
     return FourUserCases(*sums.tolist())
 
@@ -232,6 +233,7 @@ def case_gap_monotonicity(gains: ChannelGains, rho_grid: Sequence[float]) -> Cas
         raise ValidationError("rho_grid values must be positive and finite")
     if np.any(np.diff(grid) <= 0.0):
         raise ValidationError("rho_grid must be strictly ascending")
+    check_received_snr(grid, gains.gains)
     sums = matching_rates(grid, gains.gains, FOUR_USER_PAIRS).sum(axis=-1)
     gaps = sums[:, 1] - sums[:, 0]
     nondecreasing = bool(np.all(np.diff(gaps) >= -GAP_STEP_TOL))

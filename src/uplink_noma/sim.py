@@ -18,7 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import TransmitSnr, ValidationError, group_sum_rate, log2_1p, sic_rates
+from .model import (
+    TransmitSnr, ValidationError, check_received_snr, group_sum_rate, log2_1p, sic_rates
+)
 from .allocation import m_user_shares
 from .channel import SeedSpec, sample_gain_rows
 from .pairing import FOUR_USER_PAIRS, matching_rates
@@ -148,6 +150,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     for point, snr_db in enumerate(config.snr_db):
         rho = TransmitSnr.from_db(snr_db).rho
         gains = sample_gain_rows(config.users, SeedSpec(config.seed, point), config.trials)
+        check_received_snr(rho, gains)  # before any kernel product can overflow
         means[:, point], errors[:, point] = _mean_and_stderr(kernel(rho, gains))
     return SweepResult(
         mode=config.mode,

@@ -102,12 +102,6 @@ GOLDEN = {
         "433595b255d243e939a1d5932d8ee02846040150dcadcc11ecc27d6fef8ee7ba",
         EMPTY,
     ),
-    "pair-oracle-12-network": (
-        ["pair", "--gains", *TWELVE, "--snr-db", "10", "--oracle", "--oma-baseline", "network"],
-        0,
-        "462012da43d63d17394f36ab3badc90688802cb4238938237954766f14a19128",
-        EMPTY,
-    ),
     "pair-near-far-12": (
         ["pair", "--gains", *TWELVE, "--snr-db", "10"],
         0,
@@ -155,7 +149,7 @@ GOLDEN = {
         ["pair", "--config", "{config}"],
         2,
         EMPTY,
-        "9bfd8fb489de7321935af79138288db0b8efab329e0f61f109055db7a4361aa9",
+        "c5af0dbe54b08e80154bea4ce4dfd7e21703b41142a052f4e7bd302d7f70da9c",
     ),
     "alloc-5": (
         ["alloc", "--snr-db", "10", "--g1", "0.3", "--m", "5"],

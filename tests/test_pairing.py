@@ -238,6 +238,12 @@ class TestFourUserCases:
                 )
                 assert near_far >= best - 1e-9
 
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_rho_g_beyond_float_range(self):
+        gains = ChannelGains(np.array([1.0, 2.0, 3.0, 1e10]))
+        with pytest.raises(ValidationError, match=r"^rho\*g must be positive, finite and normal$"):
+            four_user_cases(gains, TransmitSnr(1e300))
+
     def test_requires_exactly_four_users(self):
         with pytest.raises(DimensionError):
             four_user_cases(ChannelGains(np.array([0.3, 2.0])), SNR10)
@@ -274,6 +280,11 @@ class TestCaseGap:
         report = case_gap_monotonicity(gains, np.geomspace(1e-2, 1e4, 25))
         assert report.high_snr_limit == 0.0
         assert report.gaps[-1] == pytest.approx(0.0, abs=1e-6)
+
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_rho_g_beyond_float_range(self):
+        with pytest.raises(ValidationError, match=r"^rho\*g must be positive, finite and normal$"):
+            case_gap_monotonicity(GAINS4, [1.0, 1e308])
 
     def test_grid_must_be_ascending_and_positive(self):
         with pytest.raises(ValidationError):
