@@ -135,7 +135,9 @@ def m_user_shares(x, m: int) -> np.ndarray:
     alpha_i = r_m / r_i - r_m / r_{i-1}, which sum to r_m / r_m = 1. At
     m = 2 this is `weak_user_share` and its complement, bit for bit.
     Elementwise over x, which must be finite and at least MIN_RECEIVED_SNR;
-    output shape is x.shape + (m,), weakest user first.
+    output shape is x.shape + (m,), weakest user first. The result is the
+    (..., m) view of a C-contiguous (m,) + x.shape array, users leading, so
+    each user's shares are contiguous and no transposing copy is made.
     """
     if not (isinstance(m, (int, np.integer)) and m >= 2):
         raise ValidationError(f"group size m must be an integer >= 2, got {m!r}")
@@ -146,10 +148,10 @@ def m_user_shares(x, m: int) -> np.ndarray:
     r = np.empty((int(m),) + x.shape)
     r[0] = x  # not expm1(log1p(x)), which can be an ulp off x
     np.expm1(np.log1p(x) / np.arange(2, m + 1).reshape((-1,) + (1,) * x.ndim), out=r[1:])
-    shares = np.ones_like(r)  # r_m / r_i; r_m / r_m is 1 even where r_m underflows
-    np.divide(r[-1], r[:-1], out=shares[:-1])
-    shares[1:] -= shares[:-1]
-    return np.moveaxis(shares, 0, -1).copy()
+    np.divide(r[-1], r[:-1], out=r[:-1])  # r_m / r_i, in place
+    np.subtract(1.0, r[-2], out=r[-1, ...])  # not r_m / r_m, 0/0 where r_m underflows
+    r[1:-1] -= r[:-2]  # numpy reads the overlapping operands as if copied
+    return np.moveaxis(r, 0, -1)
 
 
 def optimal_m_user(snr: TransmitSnr, g1: float, m: int) -> PowerAllocation:

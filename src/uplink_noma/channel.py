@@ -11,9 +11,9 @@ its own and results do not depend on execution order. Trial t of an m-user
 draw at point p is words t*m .. t*m+m-1 of the raw stream of a Philox keyed
 on the seed with its counter at [0, 0, p, 0]. `sample_gain_rows` reaches a
 run of trials in O(1) through `advance`, draws its words in one call, maps
-them to exponentials, orders each row (two-user rows by one compare-exchange,
-larger rows by a row sort) and validates the matrix once;
-`sample_rayleigh_gains` is its one-row view.
+them to exponentials, orders each row (two-user rows by one compare-exchange
+written users leading, larger rows by a row sort) and validates the matrix
+once; `sample_rayleigh_gains` is its one-row view.
 """
 
 from __future__ import annotations
@@ -62,7 +62,9 @@ def sample_gain_rows(m: int, spec: SeedSpec, count: int) -> np.ndarray:
 
     Returns a (count, m) matrix whose row r holds the m sorted unit-mean
     exponential gains of trial t = spec.trial + r: words t*m .. t*m+m-1 of
-    the point's Philox stream, mapped by `unit_exponentials`.
+    the point's Philox stream, mapped by `unit_exponentials`. At m = 2 it is
+    the transposed view of a C-contiguous (2, count) array, so each user's
+    column is contiguous for the kernels; larger m are C-contiguous.
     """
     if not (isinstance(m, (int, np.integer)) and m >= 2):
         raise ValidationError(f"m must be an integer >= 2, got {m!r}")
@@ -78,10 +80,10 @@ def sample_gain_rows(m: int, spec: SeedSpec, count: int) -> np.ndarray:
     bit_gen.advance(blocks)
     rows = unit_exponentials(bit_gen.random_raw(skip + count * m)[skip:]).reshape(count, m)
     if m == 2:  # one compare-exchange orders a pair, far cheaper than a row sort
-        weak, strong = rows.T
-        low = np.minimum(weak, strong)
-        np.maximum(weak, strong, out=strong)
-        weak[:] = low
+        ordered = np.empty((2, count))  # users leading: each user's gains contiguous
+        np.minimum(rows[:, 0], rows[:, 1], out=ordered[0])
+        np.maximum(rows[:, 0], rows[:, 1], out=ordered[1])
+        rows = ordered.T
     else:
         rows.sort(axis=1)
     check_gains(rows)

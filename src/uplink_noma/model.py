@@ -35,9 +35,9 @@ class DimensionError(ValidationError):
     """Vector arguments disagree in length."""
 
 
-def log2_1p(y):
-    """log2(1 + y), elementwise, accurate for small y."""
-    return np.log1p(y) / LN2
+def log2_1p(y, out=None):
+    """log2(1 + y), elementwise, accurate for small y; into `out` if given."""
+    return np.divide(np.log1p(y, out=out), LN2, out=out)
 
 
 @dataclass(frozen=True)
@@ -55,9 +55,12 @@ class TransmitSnr:
     @classmethod
     def from_db(cls, snr_db: float) -> "TransmitSnr":
         try:
-            return cls(10.0 ** (float(snr_db) / 10.0))
+            rho = 10.0 ** (float(snr_db) / 10.0)
         except OverflowError as exc:
             raise ValidationError(f"SNR of {snr_db!r} dB overflows a float") from exc
+        if rho == 0.0:
+            raise ValidationError(f"SNR of {snr_db!r} dB underflows a float")
+        return cls(rho)
 
 
 def check_gains(gains: np.ndarray) -> None:
@@ -163,23 +166,40 @@ def _require_same_length(gains: ChannelGains, alloc: PowerAllocation) -> None:
         raise DimensionError(f"{gains.m} gains but {alloc.m} power fractions")
 
 
-def sic_rates(rho, alphas, gains):
+def sic_rates(rho, alphas, gains, out=None):
     """Per-user SIC rates along the last axis, without validation.
 
     User i receives log2(1 + rho*a_i*g_i / (1 + sum_{j<i} rho*a_j*g_j)):
     the strongest user is decoded first against all weaker signals, the
-    weakest user last with no residual interference.
+    weakest user last with no residual interference. The interference sums
+    run over the users left to right, as `np.cumsum` adds them.
+
+    The rates go into `out` (the broadcast shape, any layout), which is
+    returned; without it, into a new Fortran-ordered array, users leading in
+    memory, so each user's rates and each step of the running sum are
+    contiguous.
     """
-    sig = rho * alphas * gains
-    interference = np.zeros_like(sig)
-    interference[..., 1:] = np.cumsum(sig[..., :-1], axis=-1)
-    return log2_1p(sig / (1.0 + interference))
+    if out is None:
+        shape = np.broadcast_shapes(np.shape(rho), np.shape(alphas), np.shape(gains))
+        out = np.empty(shape, order="F")
+    np.multiply(rho, alphas, out=out)
+    out *= gains  # out[..., i]: user i's signal, then its SINR
+    interference = out[..., 0]
+    for i in range(1, out.shape[-1]):
+        denominator = 1.0 + interference
+        if i + 1 < out.shape[-1]:
+            interference = interference + out[..., i]
+        np.divide(out[..., i], denominator, out=out[..., i])
+    return log2_1p(out, out=out)
 
 
 def group_sum_rate(rho, alphas, gains):
     """SIC sum rate log2(1 + rho*sum_i a_i*g_i) along the last axis, without
-    validation; the per-user rates of `sic_rates` telescope to it."""
-    return log2_1p(rho * np.sum(alphas * gains, axis=-1))
+    validation; the per-user rates of `sic_rates` telescope to it. The
+    products are laid out C-contiguous whatever the inputs' layout, so each
+    row is summed in one order (numpy sums a contiguous row of 8 or more
+    pairwise, a strided one term by term)."""
+    return log2_1p(rho * np.sum(np.multiply(alphas, gains, order="C"), axis=-1))
 
 
 def noma_rates(gains: ChannelGains, alloc: PowerAllocation, snr: TransmitSnr) -> np.ndarray:

@@ -36,8 +36,13 @@ MAX_GAINS_PER_POINT = 2**26
 
 
 def _two_user_rates(rho, gains):
-    noma = sic_rates(rho, m_user_shares(rho * gains[:, 0], 2), gains)
-    return (*noma.T, *(0.5 * log2_1p(rho * gains)).T)
+    """One C-contiguous (4, trials) block: the NOMA rates of both users at
+    the optimal split, then their OMA rates, each row ready to reduce."""
+    block = np.empty((4, len(gains)))
+    sic_rates(rho, m_user_shares(rho * gains[:, 0], 2), gains, out=block[:2].T)
+    oma = log2_1p(np.multiply(rho, gains.T, out=block[2:]), out=block[2:])
+    oma *= 0.5
+    return block
 
 
 def _group_and_oma_sums(rho, gains):
@@ -53,7 +58,8 @@ def _four_user_sums(rho, gains):
 
 # mode -> (series columns, means first, in CLI output order; the group size
 # the mode requires, or None for any; per-point kernel: (rho, (trials, users)
-# gain matrix) -> one array of per-trial samples for each column)
+# gain matrix) -> per-trial samples of each column, as a tuple of arrays or
+# one (columns, trials) array)
 MODES = {
     "two-user-rates": (("R1_noma", "R2_noma", "R1_oma", "R2_oma"), 2, _two_user_rates),
     "two-user-sum": (("sum_noma", "sum_oma"), 2, _group_and_oma_sums),
@@ -133,9 +139,10 @@ class SweepResult:
 
 def _mean_and_stderr(samples) -> tuple:
     """Mean and standard error (0 at one trial) of each equal-length series,
-    reduced at once along the trial axis of their C-contiguous stack; a
-    strided view would be summed in another order and differ in the ulps."""
-    stack = np.stack(samples)
+    reduced at once along the trial axis of one C-contiguous (series, trials)
+    array: a kernel's block as it is, a tuple or strided array copied into
+    one. A strided view would be summed in another order, a few ulps off."""
+    stack = np.ascontiguousarray(samples)
     mean = stack.mean(axis=1)
     if stack.shape[1] < 2:
         return mean, np.zeros_like(mean)
@@ -151,7 +158,9 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         rho = TransmitSnr.from_db(snr_db).rho
         gains = sample_gain_rows(config.users, SeedSpec(config.seed, point), config.trials)
         check_received_snr(rho, gains)  # before any kernel product can overflow
-        means[:, point], errors[:, point] = _mean_and_stderr(kernel(rho, gains))
+        samples = kernel(rho, gains)
+        del gains  # before the reduce: a lower peak per point, so fewer fresh pages to fault in
+        means[:, point], errors[:, point] = _mean_and_stderr(samples)
     return SweepResult(
         mode=config.mode,
         users=config.users,

@@ -336,12 +336,16 @@ class TestMUser:
         shortfall = oma_rates(spread, snr)[2] - noma_rates(spread, alloc, snr)[2]
         assert shortfall > 0.5
 
-    def test_shares_vectorize_over_snr(self):
+    @pytest.mark.parametrize("m", [2, 5, 32])
+    def test_shares_vectorize_over_snr(self, m):
         xs = np.geomspace(1e-4, 1e5, 9)
-        batch = m_user_shares(xs, 5)
-        assert batch.shape == (9, 5)
+        batch = m_user_shares(xs, m)
+        assert batch.shape == (9, m)
         for row, x in zip(batch, xs):
-            assert np.array_equal(row, m_user_shares(float(x), 5))
+            assert np.array_equal(row, m_user_shares(float(x), m))
+        grid = m_user_shares(xs.reshape(3, 3), m)
+        assert grid.shape == (3, 3, m)
+        assert np.array_equal(grid.reshape(9, m), batch)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("m", [2, 3, 4, 12, 32])

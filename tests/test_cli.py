@@ -557,6 +557,19 @@ class TestExitCodes:
         assert err.startswith("error:") and "overflows" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("alloc", "--snr-db", "-4000", "--g1", "0.3"),
+            ("pair", "--gains", "1", "2", "--snr-db", "-4000"),
+            ("sweep", "--mode", "two-user-sum", "--snr-start", "-4000", "--snr-stop", "-4000",
+             "--trials", "10"),
+        ],
+    )
+    def test_underflowing_snr_is_one_error_line(self, capsys, argv):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: SNR of -4000.0 dB underflows a float\n")
+
     @pytest.mark.parametrize("flag, value", [("--snr-start", "nan"), ("--snr-stop", "inf")])
     def test_nonfinite_grid_bound_exits_2(self, capsys, flag, value):
         code, out, err = _run(capsys, "sweep", "--mode", "two-user-sum", flag, value)

@@ -1,5 +1,7 @@
 """Rate-model unit and property tests."""
 
+import decimal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from uplink_noma import (
     noma_sum_rate,
     oma_rates,
 )
-from uplink_noma.model import check_gains
+from uplink_noma.model import check_gains, sic_rates
 
 SNR10 = TransmitSnr(10.0)
 
@@ -155,6 +157,75 @@ class TestTelescoping:
         assert np.all(oma_rates(gains, snr) >= 0.0)
 
 
+def _decimal_sic_rates(rho, alphas, gains):
+    """log2(1 + rho*a_i*g_i / (1 + sum_{j<i} rho*a_j*g_j)) for one user vector,
+    in 60-digit decimals from the exact values of the float inputs."""
+    with decimal.localcontext(decimal.Context(prec=60)):
+        signals = [
+            decimal.Decimal(float(rho)) * decimal.Decimal(float(a)) * decimal.Decimal(float(g))
+            for a, g in zip(alphas, gains)
+        ]
+        log2 = decimal.Decimal(2).ln()
+        rates, interference = [], decimal.Decimal(0)
+        for signal in signals:
+            rates.append(float((1 + signal / (1 + interference)).ln() / log2))
+            interference += signal
+        return np.array(rates)
+
+
+def _batch_id(batch):
+    return "x".join(map(str, batch)) or "scalar"
+
+
+def _sic_problem(m, batch, seed):
+    """rho broadcast over the batch, shares summing to 1 and ascending gains."""
+    rng = np.random.default_rng([m, len(batch), seed])
+    rho = 10.0 ** rng.uniform(-1.0, 4.0, batch + (1,)) if batch else 10.0 ** rng.uniform(-1, 4)
+    weights = rng.uniform(0.05, 1.0, batch + (m,))
+    gains = np.sort(rng.exponential(size=batch + (m,)), axis=-1)
+    return rho, weights / weights.sum(axis=-1, keepdims=True), gains
+
+
+class TestSicRates:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("m", [2, 3, 5, 12])
+    @pytest.mark.parametrize("batch", [(), (7,), (3, 4)], ids=_batch_id)
+    def test_matches_a_60_digit_reference(self, m, batch):
+        rho, alphas, gains = _sic_problem(m, batch, 0)
+        rates = sic_rates(rho, alphas, gains)
+        assert rates.shape == batch + (m,)
+        rhos = np.broadcast_to(rho, batch + (1,)).reshape(-1)
+        for r, a, g, row in zip(
+            rhos, alphas.reshape(-1, m), gains.reshape(-1, m), rates.reshape(-1, m)
+        ):
+            ref = _decimal_sic_rates(r, a, g)
+            assert np.all(np.abs(row - ref) <= 1e-13 * ref)
+
+    @pytest.mark.parametrize("m", [2, 3, 12])
+    @pytest.mark.parametrize("batch", [(), (7,), (3, 4)], ids=_batch_id)
+    def test_out_holds_the_returned_rates(self, m, batch):
+        rho, alphas, gains = _sic_problem(m, batch, 1)
+        fresh = sic_rates(rho, alphas, gains)
+        users_leading = np.empty((m,) + batch)
+        for out in (np.empty(batch + (m,)), np.moveaxis(users_leading, 0, -1)):
+            assert sic_rates(rho, alphas, gains, out=out) is out
+            assert np.array_equal(out, fresh)
+
+    @pytest.mark.parametrize("m", [2, 3, 12])
+    @pytest.mark.parametrize("batch", [(7,), (3, 4)], ids=_batch_id)
+    def test_input_layout_leaves_the_bits(self, m, batch):
+        # C-contiguous, users-leading (the transpose of a C array) and strided
+        # inputs hold the same values, and each user's rates are elementwise
+        rho, alphas, gains = _sic_problem(m, batch, 2)
+        fresh = sic_rates(rho, alphas, gains)
+        for layout in (
+            lambda v: np.moveaxis(np.ascontiguousarray(np.moveaxis(v, -1, 0)), 0, -1),
+            lambda v: np.repeat(v, 2, axis=-1)[..., ::2],
+            np.asfortranarray,
+        ):
+            assert np.array_equal(sic_rates(rho, layout(alphas), layout(gains)), fresh)
+
+
 class TestValidation:
     def test_snr_must_be_positive_finite(self):
         for bad in (0.0, -1.0, float("inf"), float("nan")):
@@ -165,6 +236,15 @@ class TestValidation:
         assert TransmitSnr.from_db(10.0).rho == pytest.approx(10.0, rel=1e-15)
         assert TransmitSnr.from_db(-10.0).rho == pytest.approx(0.1, rel=1e-15)
         assert TransmitSnr.from_db(0.0).rho == 1.0
+
+    def test_snr_from_db_out_of_float_range(self):
+        # 10**(-400) underflows to 0 and 10**400 overflows; both name the dB value
+        with pytest.raises(ValidationError, match=r"^SNR of -4000\.0 dB underflows a float$"):
+            TransmitSnr.from_db(-4000.0)
+        with pytest.raises(ValidationError, match=r"^SNR of 4000\.0 dB overflows a float$"):
+            TransmitSnr.from_db(4000.0)
+        # a subnormal rho is still positive; the received-SNR checks refuse it
+        assert 0.0 < TransmitSnr.from_db(-3230.0).rho < 1e-322
 
     def test_gains_must_be_sorted_ascending(self):
         with pytest.raises(ValidationError):

@@ -19,9 +19,10 @@ from uplink_noma import (
     optimal_m_user,
     optimal_two_user,
     run_sweep,
+    sample_gain_rows,
     sample_rayleigh_gains,
 )
-from uplink_noma.sim import _mean_and_stderr
+from uplink_noma.sim import MODES, _mean_and_stderr
 
 SMALL_GRID = (-10.0, 0.0, 10.0, 20.0)
 
@@ -229,3 +230,27 @@ class TestStackedReducer:
             expected = [column.std(ddof=1) / math.sqrt(column.size) for column in columns]
             assert np.array_equal(stderr, expected)
             assert np.all(stderr > 0.0)
+
+
+# (mode, group size) for each kernel at every size it takes of 2, 3, 4, 8 and 32
+_KERNEL_SIZES = [
+    (mode, m) for mode, (_, size, _) in MODES.items() for m in (2, 3, 4, 8, 32)
+    if size in (None, m)
+]
+
+
+class TestKernelLayout:
+    """Each kernel gives the same bits on the sampler's rows as on a C copy."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mode, m", _KERNEL_SIZES)
+    def test_sampler_rows_and_their_copies_give_the_same_bits(self, mode, m):
+        # at m = 2 the sampler's rows are a users-leading view; numpy sums a
+        # C-contiguous row of 8 or more in another order than a strided one
+        kernel = MODES[mode][2]
+        rows = sample_gain_rows(m, SeedSpec(7, 1), 257)
+        for rho in (0.1, 10.0, 1e3):
+            samples = np.array(kernel(rho, rows))
+            assert samples.shape == (len(MODES[mode][0]), 257)
+            assert np.array_equal(np.array(kernel(rho, np.ascontiguousarray(rows))), samples)
+
