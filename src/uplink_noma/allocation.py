@@ -27,6 +27,7 @@ from .model import (
     PowerAllocation,
     TransmitSnr,
     ValidationError,
+    check_received_range,
     check_received_snr,
 )
 
@@ -94,8 +95,7 @@ def strong_share_bounds(snr: TransmitSnr, g1: float, g2: float) -> FeasibleInter
         raise ValidationError(f"g2 must be >= g1, got g1={g1!r}, g2={g2!r}")
     x1 = snr.rho * g1
     x2 = snr.rho * g2
-    if not (x1 >= MIN_RECEIVED_SNR and math.isfinite(x2)):
-        raise ValidationError("rho*g must be positive, finite and normal")
+    check_received_range(x1, x2)  # x1 <= x2, the extreme products
     upper = 1.0 - weak_user_share(x1)  # (1+s1)*s1/x1, as (1+s1)*s1 = x1 - s1
     if upper >= 1.0:
         raise ValidationError(f"rho*g1 of {x1:g} puts the weak share below float resolution")

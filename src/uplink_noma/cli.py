@@ -1,5 +1,9 @@
 """Command line front end: alloc, pair, and sweep subcommands.
 
+Each option is declared once, with its default, in `_OPTIONS`; `main`
+resolves them all before the subcommand runs (see `_resolve`), so a handler
+reads a finished, typed namespace.
+
 All SNR flags take dB values and are converted internally via
 rho = 10^(dB/10). Every numeric output is rendered with 9 significant
 digits, identically in CSV and JSON. CSV text (matching labels and column
@@ -43,30 +47,31 @@ MAX_GRID_POINTS = 100_000
 # largest `alloc --m`; a larger group exits 2 before its shares are allocated
 MAX_GROUP_SIZE = 100_000
 
-# every option once, in --help order: dest -> (subcommands, add_argument
-# keywords). The flag is "--" plus the dest with dashes; a config file key is
-# the dest, and its value is parsed as the flag's (see _config_value).
+# every option once, in --help order: dest -> (subcommands, default or
+# REQUIRED, add_argument keywords). The flag is "--" plus the dest with dashes;
+# a config file key is the dest, its value parsed as the flag's (_config_value).
+REQUIRED = object()
 _OPTIONS = {
-    "gains": (("pair",), dict(type=float, nargs="+", help="channel gains, even count")),
-    "snr_db": (("alloc", "pair"), dict(type=float, help="transmit SNR in dB")),
-    "g1": (("alloc",), dict(type=float, help="weakest user's channel gain |h1|^2")),
-    "m": (("alloc",), dict(type=int, help="group size (default 2)")),
-    "oracle": (
-        ("pair",),
-        dict(
-            action="store_true", default=None, help="rank every perfect matching (up to 12 users)"
-        ),
-    ),
-    "mode": (("sweep",), dict(choices=tuple(MODES), help="which comparison to average")),
-    "users": (("sweep",), dict(type=int, help="group size (2, 4, or M for m-user-group)")),
-    "snr_start": (("sweep",), dict(type=float, help="grid start in dB")),
-    "snr_stop": (("sweep",), dict(type=float, help="grid stop in dB")),
-    "snr_step": (("sweep",), dict(type=float, help="grid step in dB")),
-    "trials": (("sweep",), dict(type=int, help="fading draws per grid point")),
-    "seed": (("sweep",), dict(type=int, help=f"root seed (env {SEED_ENV_VAR} overrides default)")),
-    "format": (("alloc", "pair", "sweep"), dict(choices=("csv", "json"), help="output format")),
-    "output": (("alloc", "pair", "sweep"), dict(help="output file (default stdout)")),
-    "config": (("alloc", "pair", "sweep"), dict(help="key = value config file supplying flags")),
+    "gains": (("pair",), REQUIRED, dict(type=float, nargs="+", help="channel gains, even count")),
+    "snr_db": (("alloc", "pair"), REQUIRED, dict(type=float, help="transmit SNR in dB")),
+    "g1": (("alloc",), REQUIRED, dict(type=float, help="weakest user's channel gain |h1|^2")),
+    "m": (("alloc",), 2, dict(type=int, help="group size (default 2)")),
+    "oracle": (("pair",), False, dict(action="store_true", default=None,
+                                      help="rank every perfect matching (up to 12 users)")),
+    "mode": (("sweep",), REQUIRED, dict(choices=tuple(MODES), help="which comparison to average")),
+    # None: the mode's group size, chosen in cmd_sweep
+    "users": (("sweep",), None, dict(type=int, help="group size (2, 4, or M for m-user-group)")),
+    "snr_start": (("sweep",), -10.0, dict(type=float, help="grid start in dB")),
+    "snr_stop": (("sweep",), 30.0, dict(type=float, help="grid stop in dB")),
+    "snr_step": (("sweep",), 5.0, dict(type=float, help="grid step in dB")),
+    "trials": (("sweep",), DEFAULT_TRIALS, dict(type=int, help="fading draws per grid point")),
+    "seed": (("sweep",), DEFAULT_SEED,
+             dict(type=int, help=f"root seed (env {SEED_ENV_VAR} overrides default)")),
+    "format": (("alloc", "pair", "sweep"), "csv",
+               dict(choices=("csv", "json"), help="output format")),
+    "output": (("alloc", "pair", "sweep"), None, dict(help="output file (default stdout)")),
+    "config": (("alloc", "pair", "sweep"), None,
+               dict(help="key = value config file supplying flags")),
 }
 
 
@@ -124,7 +129,7 @@ def _read_config(path: str, command: str) -> dict:
             )
         first_line[key] = lineno
         try:
-            options[key] = _config_value(_OPTIONS[key][1], value)
+            options[key] = _config_value(_OPTIONS[key][2], value)
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
     return options
@@ -140,27 +145,24 @@ def _round9(value) -> float:
     return float(_fmt(value))
 
 
-def _resolve(args, config: dict, dest: str, default=None, env_var: str | None = None):
-    """Flag beats environment beats config file beats built-in default."""
-    value = getattr(args, dest)
-    if value is not None:
-        return value
-    if env_var is not None and os.environ.get(env_var):
-        try:
-            return int(os.environ[env_var])
-        except ValueError as exc:
-            raise ValidationError(f"{env_var} must be an integer") from exc
-    if dest in config:
-        return config[dest]
-    return default
-
-
-def _require(args, config: dict, dest: str):
-    value = _resolve(args, config, dest)
-    if value is None:
-        flag = "--" + dest.replace("_", "-")
-        raise ValidationError(f"missing required option {flag} (flag or config file)")
-    return value
+def _resolve(args) -> None:
+    """Fill each of the subcommand's options that no flag set, in _OPTIONS
+    order: from UPLINK_NOMA_SEED (the seed only), else the config file, else
+    the built-in default. Every value arrives typed, as its flag parses it."""
+    config = _read_config(args.config, args.command) if args.config else {}
+    for dest, (commands, default, _) in _OPTIONS.items():
+        if args.command not in commands or getattr(args, dest) is not None:
+            continue
+        value = config.get(dest, default)
+        if dest == "seed" and os.environ.get(SEED_ENV_VAR):
+            try:
+                value = int(os.environ[SEED_ENV_VAR])
+            except ValueError as exc:
+                raise ValidationError(f"{SEED_ENV_VAR} must be an integer") from exc
+        elif value is REQUIRED:
+            flag = "--" + dest.replace("_", "-")
+            raise ValidationError(f"missing required option {flag} (flag or config file)")
+        setattr(args, dest, value)
 
 
 def _quote_minimal(cell: str) -> str:
@@ -205,21 +207,18 @@ def _emit(text: str, path: str | None) -> None:
         raise OSError(f"cannot write output file {path!r}: {exc.strerror}") from exc
 
 
-def _write_table(args, config: dict, columns, rows, meta: dict | None = None) -> int:
+def _write_table(args, columns, rows, meta: dict | None = None) -> int:
     """Render the table in the requested format and emit it; exit code 0."""
-    fmt = _resolve(args, config, "format", "csv")
-    text = _render_csv(columns, rows) if fmt == "csv" else _render_json(columns, rows, meta)
-    _emit(text, _resolve(args, config, "output"))
+    as_csv = args.format == "csv"
+    _emit(_render_csv(columns, rows) if as_csv else _render_json(columns, rows, meta), args.output)
     return 0
 
 
-def cmd_alloc(args, config: dict) -> int:
-    snr_db = float(_require(args, config, "snr_db"))
-    g1 = float(_require(args, config, "g1"))
-    m = int(_resolve(args, config, "m", 2))
+def cmd_alloc(args) -> int:
+    g1, m = args.g1, args.m
     if m > MAX_GROUP_SIZE:
         raise ValidationError(f"--m of {m} exceeds {MAX_GROUP_SIZE} users")
-    snr = TransmitSnr.from_db(snr_db)
+    snr = TransmitSnr.from_db(args.snr_db)
     alloc = optimal_m_user(snr, g1, m)
     # self check: at the optimum the weak user's rate equals its 1/m share
     r1 = float(log2_1p(snr.rho * alloc.alphas[0] * g1))
@@ -227,22 +226,19 @@ def cmd_alloc(args, config: dict) -> int:
     residual = (r1 - o1) / o1
     columns = [f"alpha_{i}" for i in range(1, m + 1)] + ["weak_rate_check"]
     rows = [list(alloc.alphas) + [residual]]
-    return _write_table(args, config, columns, rows)
+    return _write_table(args, columns, rows)
 
 
-def cmd_pair(args, config: dict) -> int:
-    raw_gains = _require(args, config, "gains")
-    snr_db = float(_require(args, config, "snr_db"))
-    oracle = bool(_resolve(args, config, "oracle", False))
-    values = np.sort(np.asarray([float(v) for v in raw_gains], dtype=float))
+def cmd_pair(args) -> int:
+    values = np.sort(np.asarray(args.gains, dtype=float))
     if values.size % 2:
         raise ValidationError(f"--gains needs an even number of values, got {values.size}")
     gains = ChannelGains(values)
-    snr = TransmitSnr.from_db(snr_db)
+    snr = TransmitSnr.from_db(args.snr_db)
     near_far = near_far_policy(gains.m // 2)
-    pairs = matching_array(gains.m) if oracle else pair_indices([near_far])
+    pairs = matching_array(gains.m) if args.oracle else pair_indices([near_far])
     sums = np.array([pairing_sum_rate(gains, near_far, snr).noma_sum])  # checks rho*g
-    if oracle:
+    if args.oracle:
         # drawn once for perfbench's matching counter, until ROADMAP item 1 re-keys it
         for _ in enumerate_matchings(gains.m):
             pass
@@ -255,7 +251,7 @@ def cmd_pair(args, config: dict) -> int:
     # descending sum rate; the near-far policy wins exact ties, then label order
     order = np.lexsort((keys, keys != str(near_far).encode(), -sums))
     rows = list(zip(map(labels.__getitem__, order.tolist()), sums[order].tolist()))
-    return _write_table(args, config, ["policy", "sum_noma"], rows)
+    return _write_table(args, ["policy", "sum_noma"], rows)
 
 
 def _snr_grid(start: float, stop: float, step: float) -> tuple:
@@ -275,24 +271,27 @@ def _snr_grid(start: float, stop: float, step: float) -> tuple:
     return tuple(start + step * i for i in range(count))
 
 
-def cmd_sweep(args, config: dict) -> int:
-    mode = _require(args, config, "mode")
+def cmd_sweep(args) -> int:
     sweep = SweepConfig(
-        mode=mode,
-        users=int(_resolve(args, config, "users", MODES[mode][1] or DEFAULT_GROUP_SIZE)),
-        snr_db=_snr_grid(
-            float(_resolve(args, config, "snr_start", -10.0)),
-            float(_resolve(args, config, "snr_stop", 30.0)),
-            float(_resolve(args, config, "snr_step", 5.0)),
-        ),
-        trials=int(_resolve(args, config, "trials", DEFAULT_TRIALS)),
-        seed=int(_resolve(args, config, "seed", DEFAULT_SEED, env_var=SEED_ENV_VAR)),
+        mode=args.mode,
+        users=(MODES[args.mode][1] or DEFAULT_GROUP_SIZE) if args.users is None else args.users,
+        snr_db=_snr_grid(args.snr_start, args.snr_stop, args.snr_step),
+        trials=args.trials,
+        seed=args.seed,
     )
     result = run_sweep(sweep)
     columns = ["snr_db", *result.series, *(f"{name}_stderr" for name in result.series)]
     rows = list(zip(result.snr_db, *result.series.values(), *result.stderr.values()))
-    meta = {"mode": mode, "users": sweep.users, "trials": sweep.trials, "seed": sweep.seed}
-    return _write_table(args, config, columns, rows, meta)
+    meta = {"mode": sweep.mode, "users": sweep.users, "trials": sweep.trials, "seed": sweep.seed}
+    return _write_table(args, columns, rows, meta)
+
+
+# subcommand -> (handler, --help line), for both the parser and the dispatch
+_COMMANDS = {
+    "alloc": (cmd_alloc, "closed-form power fractions for one group"),
+    "pair": (cmd_pair, "near-far pairing of sorted gains"),
+    "sweep": (cmd_sweep, "seeded Monte Carlo sweep over Rayleigh fading"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -301,24 +300,18 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Optimal uplink NOMA power allocation, pairing, and fading sweeps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)  # each a _Parser too
-    commands = {
-        "alloc": sub.add_parser("alloc", help="closed-form power fractions for one group"),
-        "pair": sub.add_parser("pair", help="near-far pairing of sorted gains"),
-        "sweep": sub.add_parser("sweep", help="seeded Monte Carlo sweep over Rayleigh fading"),
-    }
-    for dest, (names, keywords) in _OPTIONS.items():
+    commands = {name: sub.add_parser(name, help=text) for name, (_, text) in _COMMANDS.items()}
+    for dest, (names, _, keywords) in _OPTIONS.items():
         for name in names:
             commands[name].add_argument("--" + dest.replace("_", "-"), **keywords)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        config = _read_config(args.config, args.command) if args.config else {}
-        handler = {"alloc": cmd_alloc, "pair": cmd_pair, "sweep": cmd_sweep}[args.command]
-        return handler(args, config)
+        _resolve(args)
+        return _COMMANDS[args.command][0](args)
     except InfeasibleIntervalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -156,7 +156,11 @@ def check_received_snr(rho, gains) -> None:
     finite and normal (at least MIN_RECEIVED_SNR). The extreme products bound
     them all; Python floats overflow to inf without numpy's RuntimeWarning."""
     lowest = float(np.min(rho)) * float(np.min(gains))
-    highest = float(np.max(rho)) * float(np.max(gains))
+    check_received_range(lowest, float(np.max(rho)) * float(np.max(gains)))
+
+
+def check_received_range(lowest: float, highest: float) -> None:
+    """`check_received_snr` on the extreme rho*g products, as Python floats."""
     if not (lowest >= MIN_RECEIVED_SNR and math.isfinite(highest)):
         raise ValidationError("rho*g must be positive, finite and normal")
 

@@ -47,9 +47,10 @@ def _two_user_rates(rho, gains):
 
 def _group_and_oma_sums(rho, gains):
     """Each row's recursive-split NOMA sum (at two users, the optimal pair)
-    and its 1/M orthogonal sum."""
+    and its 1/M orthogonal sum, each row summed in one order whatever the
+    gains' layout (as in `group_sum_rate`)."""
     noma = group_sum_rate(rho, m_user_shares(rho * gains[:, 0], gains.shape[1]), gains)
-    return noma, np.sum(log2_1p(rho * gains), axis=1) / gains.shape[1]
+    return noma, np.sum(log2_1p(np.multiply(rho, gains, order="C")), axis=1) / gains.shape[1]
 
 
 def _four_user_sums(rho, gains):

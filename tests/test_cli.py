@@ -1,5 +1,6 @@
 """CLI tests: output formats, precedence, exit codes, atomic writes."""
 
+import contextlib
 import csv
 import decimal
 import io
@@ -8,11 +9,12 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import uplink_noma.allocation as allocation
@@ -404,6 +406,19 @@ class TestPrecedence:
         code, _, _ = _run(capsys, "sweep", "--mode", "two-user-sum", "--trials", "5")
         assert code == 2
 
+    def test_bad_env_seed_is_reported_before_a_bad_grid(self, capsys, monkeypatch):
+        # every option is resolved before the sweep checks its grid
+        monkeypatch.setenv(cli.SEED_ENV_VAR, "zebra")
+        code, out, err = _run(capsys, "sweep", "--mode", "two-user-sum", "--snr-step", "0")
+        assert (code, out, err) == (2, "", f"error: {cli.SEED_ENV_VAR} must be an integer\n")
+
+    def test_missing_mode_is_reported_before_a_bad_env_seed(self, capsys, monkeypatch):
+        monkeypatch.setenv(cli.SEED_ENV_VAR, "zebra")
+        code, out, err = _run(capsys, "sweep", "--snr-step", "0")
+        assert (code, out, err) == (
+            2, "", "error: missing required option --mode (flag or config file)\n"
+        )
+
 
 # one command per subcommand that needs nothing more, and a valid config
 # value for every option
@@ -727,3 +742,114 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[1].startswith("0.25,0.75,")
+
+
+# option -> (valid values, junk values) its flag or config key may be given.
+# A sweep's trials and grid stay small or go past their caps, and --m goes
+# only past its cap, so no example builds much work before it is refused.
+# "{tmp}" is the example's own directory.
+FUZZ_VALUES = {
+    "gains": (["0.3 0.8", "0.3 0.8 2 5", "1 1 2 2 3 3 4 4"],
+              ["0.3", "1 2 3", "-1 2", "0 1", "nan 1", "inf 1", "1e306 1e-10", "5e-324 1", "x 1"]),
+    "snr_db": (["10", "0", "-30"], ["4000", "-4000", "nan", "inf", "x"]),
+    "g1": (["0.3", "1", "7.5"], ["1e-320", "0", "-1", "inf", "x"]),
+    "m": (["2", "3", "8"], ["1", "0", "-2", "2.5", str(cli.MAX_GROUP_SIZE + 1), str(2**62), "x"]),
+    "oracle": (["yes", "no", "1", "off"], ["maybe", "2"]),
+    "mode": (list(sim.MODES), ["bogus", "TWO-USER-SUM"]),
+    "users": (["2", "4", "8"], ["3", "1", "0", "-2", "x", str(2**62)]),
+    "snr_start": (["-10", "0", "10"], ["-1e308", "nan", "x"]),
+    "snr_stop": (["0", "10", "30"], ["1e308", "-inf", "x"]),
+    "snr_step": (["5", "10"], ["0", "-5", "1e-9", "inf", "x"]),
+    "trials": (["1", "5", "20"],
+               ["0", "-1", "2.5", "x", str(2**62), str(sim.MAX_GAINS_PER_POINT + 1)]),
+    "seed": (["0", "3", str(2**64 - 1)], ["-1", str(2**64), "x"]),
+    "format": (["csv", "json"], ["xml", "JSON"]),
+    "output": (["{tmp}/out.txt"], ["{tmp}/no/such/dir/out.txt", "{tmp}"]),
+    "config": (["{tmp}/c.cfg"], ["{tmp}/missing.cfg", "{tmp}"]),
+}
+FUZZ_ENV_SEEDS = ([None, "", "3", " 7 "], ["-1", "1.5", "zebra"])
+
+
+@st.composite
+def _invocations(draw):
+    """(argv, config file text, UPLINK_NOMA_SEED or None). Each option comes
+    from no source, its flag, the config file or both, with a valid value,
+    plus up to two faults: a junk value, a missing required option, another
+    subcommand's option, a repeated or unknown config key, a bad seed variable."""
+    command = draw(st.sampled_from(sorted(BASE_ARGV)))
+    own = [key for key, option in cli._OPTIONS.items() if command in option[0]]
+    kinds = own + ["missing", "foreign", "repeat", "unknown", "env"]
+    faults = draw(st.sets(st.sampled_from(kinds), max_size=2))
+    argv, lines = [command], []
+
+    def give(key, where, value):
+        if where == "config":
+            lines.append(f"{draw(st.sampled_from([key, key.replace('_', '-')]))} = {value}")
+        elif key == "gains":
+            argv.extend(["--gains", *value.split()])
+        else:
+            argv.append("--oracle" if key == "oracle" else f"--{key.replace('_', '-')}={value}")
+
+    for key in own:
+        sources = ["none", "flag", "config", "both"]
+        if key in faults:
+            sources = sources[1:]
+        elif key == "config":
+            sources = ["none", "flag"]  # a config file cannot name one
+        elif cli._OPTIONS[key][1] is cli.REQUIRED and "missing" not in faults:
+            sources = sources[1:]
+        source = draw(st.sampled_from(sources))
+        for where in ("flag", "config"):
+            if source in (where, "both"):
+                give(key, where, draw(st.sampled_from(FUZZ_VALUES[key][key in faults])))
+    if "foreign" in faults:
+        key = draw(st.sampled_from([key for key in cli._OPTIONS if key not in own]))
+        give(key, draw(st.sampled_from(["flag", "config"])), FUZZ_VALUES[key][0][0])
+    if command == "sweep" and not any(arg.startswith("--trials") for arg in argv):
+        if not any(line.startswith("trials") for line in lines):
+            argv.append("--trials=5")  # the default 10^4 draws per point would be slow here
+    if "repeat" in faults and lines:
+        lines.append(lines[0])
+    if "unknown" in faults:
+        lines.append(draw(st.sampled_from(["snr_centre = 1", "no equals sign"])))
+    if lines and not any(arg.startswith("--config") for arg in argv):
+        argv.append("--config={tmp}/c.cfg")
+    env_seed = draw(st.sampled_from(FUZZ_ENV_SEEDS["env" in faults]))
+    return argv, "".join(f"{line}\n" for line in draw(st.permutations(lines))), env_seed
+
+
+class TestFuzz:
+    """Any mix of flags, config file and environment ends in exit 0, or in
+    exit 2, 3 or 4 with exactly one `error:` line and nothing on stdout."""
+
+    def test_every_option_is_fuzzed(self):
+        assert list(FUZZ_VALUES) == list(cli._OPTIONS)
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_invocations())
+    def test_exit_code_and_one_error_line(self, invocation):
+        argv, config, env_seed = invocation
+        with tempfile.TemporaryDirectory() as tmp:
+            with open(os.path.join(tmp, "c.cfg"), "w", encoding="utf-8") as handle:
+                handle.write(config.replace("{tmp}", tmp))
+            saved = os.environ.pop(cli.SEED_ENV_VAR, None)
+            if env_seed is not None:
+                os.environ[cli.SEED_ENV_VAR] = env_seed
+            out, err = io.StringIO(), io.StringIO()
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    try:
+                        code = main([arg.replace("{tmp}", tmp) for arg in argv])
+                    except SystemExit as exc:
+                        code = exc.code
+            finally:
+                os.environ.pop(cli.SEED_ENV_VAR, None)
+                if saved is not None:
+                    os.environ[cli.SEED_ENV_VAR] = saved
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 2, 3, 4)
+        if code == 0:
+            assert err == ""
+        else:
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")

@@ -240,7 +240,8 @@ _KERNEL_SIZES = [
 
 
 class TestKernelLayout:
-    """Each kernel gives the same bits on the sampler's rows as on a C copy."""
+    """Each kernel gives the same bits on the sampler's rows as on a C or a
+    Fortran-ordered copy."""
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("mode, m", _KERNEL_SIZES)
@@ -253,4 +254,5 @@ class TestKernelLayout:
             samples = np.array(kernel(rho, rows))
             assert samples.shape == (len(MODES[mode][0]), 257)
             assert np.array_equal(np.array(kernel(rho, np.ascontiguousarray(rows))), samples)
+            assert np.array_equal(np.array(kernel(rho, np.asfortranarray(rows))), samples)
 
