@@ -6,14 +6,16 @@ returned sorted ascending. Reported absolute rates are therefore tied to
 this unit-mean normalization.
 
 Streams are counter based: the 64-bit seed keys a Philox generator and the
-sweep point selects its counter range, so any trial can be regenerated on
-its own and results do not depend on execution order. Trial t of an m-user
-draw at point p is words t*m .. t*m+m-1 of the raw stream of a Philox keyed
-on the seed with its counter at [0, 0, p, 0]. `sample_gain_rows` reaches a
-run of trials in O(1) through `advance`, draws its words in one call, maps
-them to exponentials, orders each row (two-user rows by one compare-exchange
-written users leading, larger rows by a row sort) and validates the matrix
-once; `sample_rayleigh_gains` is its one-row view.
+stream label's point selects its counter range, so any trial can be
+regenerated on its own and results do not depend on execution order. Trial
+t of an m-user draw at point p is words t*m .. t*m+m-1 of the raw stream of
+a Philox keyed on the seed with its counter at [0, 0, p, 0]. A sweep draws
+once, from point 0's stream, and shares that matrix across its SNR grid,
+since the gains do not depend on the SNR (see `sim`). `sample_gain_rows`
+reaches a run of trials in O(1) through `advance`, draws its words in one
+call, maps them to exponentials, orders each row (two-user rows by one
+compare-exchange written users leading, larger rows by a row sort) and
+validates the matrix once; `sample_rayleigh_gains` is its one-row view.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ written to a temporary file in the target directory and renamed into place.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -294,6 +295,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # built once per process: parsing leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="uplink-noma",

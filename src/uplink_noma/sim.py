@@ -1,14 +1,19 @@
 """Seeded Monte Carlo sweeps comparing NOMA against orthogonal access.
 
 Each sweep averages ergodic rates over Rayleigh fading: rates are computed
-per draw and then averaged, never the other way around. Trials are
-independent: trial t of point p is words t*M .. t*M+M-1 of the point's own
-Philox stream, so averages are reproducible bit for bit regardless of
-execution order or batching. Each grid point draws its whole (trials, M)
-gain matrix, at most MAX_GAINS_PER_POINT gains, in one `sample_gain_rows`
-call and evaluates the mode's kernel on it as arrays. Each mode's columns,
-group size and kernel live in one table, `MODES`, which `SweepConfig`,
-`run_sweep` and the CLI read; the four-user cases use `matching_rates`.
+per draw and then averaged, never the other way around. The fading does not
+depend on the SNR, so a sweep draws its (trials, M) gain matrix once, at
+most MAX_GAINS_PER_POINT gains, in one `sample_gain_rows` call on the stream
+of grid point 0, and every grid point evaluates the mode's kernel on that
+same matrix as arrays (common random numbers). Trials are independent:
+trial t is words t*M .. t*M+M-1 of that stream, so averages are
+reproducible bit for bit regardless of execution order or batching, and a
+point's value does not depend on the rest of the grid. The points of one
+curve share their draws, so they move together from seed to seed; each
+point's mean and standard error are those of its own independent trials.
+Each mode's columns, group size and kernel live in one table, `MODES`,
+which `SweepConfig`, `run_sweep` and the CLI read; the four-user cases use
+`matching_rates`.
 """
 
 from __future__ import annotations
@@ -19,7 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (
-    TransmitSnr, ValidationError, check_received_snr, group_sum_rate, log2_1p, sic_rates
+    TransmitSnr, ValidationError, _row_sum_order, check_received_snr, group_sum_rate, log2_1p,
+    sic_rates,
 )
 from .allocation import m_user_shares
 from .channel import SeedSpec, sample_gain_rows
@@ -30,8 +36,9 @@ DEFAULT_TRIALS = 10_000
 DEFAULT_SEED = 42
 DEFAULT_GROUP_SIZE = 12
 
-# most gains (trials x users) one grid point may draw; the sampler holds them
-# all at once, so a larger sweep is refused before anything is allocated
+# most gains (trials x users) a sweep may draw, once, for all its grid
+# points; the sampler holds them all at once and the sweep keeps them to its
+# last point, so a larger sweep is refused before anything is allocated
 MAX_GAINS_PER_POINT = 2**26
 
 
@@ -49,8 +56,9 @@ def _group_and_oma_sums(rho, gains):
     """Each row's recursive-split NOMA sum (at two users, the optimal pair)
     and its 1/M orthogonal sum, each row summed in one order whatever the
     gains' layout (as in `group_sum_rate`)."""
-    noma = group_sum_rate(rho, m_user_shares(rho * gains[:, 0], gains.shape[1]), gains)
-    return noma, np.sum(log2_1p(np.multiply(rho, gains, order="C")), axis=1) / gains.shape[1]
+    m = gains.shape[1]
+    noma = group_sum_rate(rho, m_user_shares(rho * gains[:, 0], m), gains)
+    return noma, np.sum(log2_1p(np.multiply(rho, gains, order=_row_sum_order(m))), axis=1) / m
 
 
 def _four_user_sums(rho, gains):
@@ -142,26 +150,30 @@ def _mean_and_stderr(samples) -> tuple:
     """Mean and standard error (0 at one trial) of each equal-length series,
     reduced at once along the trial axis of one C-contiguous (series, trials)
     array: a kernel's block as it is, a tuple or strided array copied into
-    one. A strided view would be summed in another order, a few ulps off."""
+    one. A strided view would be summed in another order, a few ulps off.
+    The steps are those of numpy's `mean` and `std(ddof=1)`, so the bits are
+    theirs, but the mean is summed once and the deviations squared in place."""
     stack = np.ascontiguousarray(samples)
-    mean = stack.mean(axis=1)
-    if stack.shape[1] < 2:
+    n = stack.shape[1]
+    mean = stack.sum(axis=1) / n
+    if n < 2:
         return mean, np.zeros_like(mean)
-    return mean, stack.std(axis=1, ddof=1) / math.sqrt(stack.shape[1])
+    deviations = stack - mean[:, np.newaxis]
+    deviations *= deviations
+    return mean, np.sqrt(deviations.sum(axis=1) / (n - 1)) / math.sqrt(n)
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
-    """Average the per-point kernel of the config's mode over the SNR grid."""
+    """Average the config's mode kernel over the SNR grid, every point on the
+    sweep's one gain draw (the stream of point 0)."""
     names, _, kernel = MODES[config.mode]
-    means = np.empty((len(names), len(config.snr_db)))
+    rhos = [TransmitSnr.from_db(snr_db).rho for snr_db in config.snr_db]
+    gains = sample_gain_rows(config.users, SeedSpec(config.seed, 0), config.trials)
+    check_received_snr(rhos, gains)  # every point's, before any kernel product can overflow
+    means = np.empty((len(names), len(rhos)))
     errors = np.empty_like(means)
-    for point, snr_db in enumerate(config.snr_db):
-        rho = TransmitSnr.from_db(snr_db).rho
-        gains = sample_gain_rows(config.users, SeedSpec(config.seed, point), config.trials)
-        check_received_snr(rho, gains)  # before any kernel product can overflow
-        samples = kernel(rho, gains)
-        del gains  # before the reduce: a lower peak per point, so fewer fresh pages to fault in
-        means[:, point], errors[:, point] = _mean_and_stderr(samples)
+    for point, rho in enumerate(rhos):
+        means[:, point], errors[:, point] = _mean_and_stderr(kernel(rho, gains))
     return SweepResult(
         mode=config.mode,
         users=config.users,

@@ -641,6 +641,16 @@ class TestExitCodes:
         )
         assert (code, out, err) == (2, "", "error: rho*g must be positive, finite and normal\n")
 
+    def test_grid_with_an_overflowing_and_a_subnormal_point_names_the_overflow(self, capsys):
+        # two faults: at -3100 dB, rho = 1e-310 makes every rho*g subnormal;
+        # 3100 dB overflows a float. Every point's rho is built before the
+        # sweep's one draw and its rho*g check, so the overflow is reported
+        code, out, err = _run(
+            capsys, "sweep", "--mode", "two-user-sum", "--snr-start=-3100", "--snr-stop", "3100",
+            "--snr-step", "6200", "--trials", "10",
+        )
+        assert (code, out, err) == (2, "", "error: SNR of 3100.0 dB overflows a float\n")
+
     def test_oracle_rejects_an_unknown_baseline(self, tmp_path, capsys):
         config = tmp_path / "pair.cfg"
         config.write_text(

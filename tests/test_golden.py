@@ -24,49 +24,49 @@ GOLDEN = {
     "sweep-two-user-rates": (
         ["sweep", "--mode", "two-user-rates", "--seed", "42"],
         0,
-        "9d7d681542b8cf5c6080059ac242ecffb3d4762f7309f04805648ae81122bce1",
+        "7c5736ac17bb924b50a0382006117a1d194021eeb1eca2c9677f7d3a643e9434",
         EMPTY,
     ),
     "sweep-two-user-sum": (
         ["sweep", "--mode", "two-user-sum", "--seed", "42"],
         0,
-        "1ef8257f17002183a981eafce4f4aaf4877bbabec95461901513b50f8c3aece7",
+        "c5d8ca751fcbde7023c49f6cbe3e6f5851f379c0d885742ef7d661a3dcb21690",
         EMPTY,
     ),
     "sweep-four-user-cases": (
         ["sweep", "--mode", "four-user-cases", "--seed", "42"],
         0,
-        "6681b5debb95ef613e9b8ae17e3d71ec932cb15e9a41831ba4b3e9d7cb3e1aa0",
+        "2549a59ce1ec2fd0e91acd3e37ad6d51462974a5c366bffd0208644ec7f933bf",
         EMPTY,
     ),
     "sweep-m-user-group": (
         ["sweep", "--mode", "m-user-group", "--seed", "42"],
         0,
-        "638c6529ff4325dc05cc0d79197896ff0c59725a19719f9a656b5c2885ad44ca",
+        "72b0f133464fed63a83bca0f9f3d9448cd1dceee1117d37dd00dba72c8a5363c",
         EMPTY,
     ),
     "sweep-two-user-rates-fine-json": (
         ["sweep", "--mode", "two-user-rates", *FINE_GRID, "--seed", "7", "--format", "json"],
         0,
-        "a5b5bfb0bf7063f02533097f25a24e874fda3d2d690b09fa7c3f5f481fd4cccb",
+        "6fb84a8e2b4208fa3a6b378471a2c1960fcdfe428f2f80d8de94a354957a598a",
         EMPTY,
     ),
     "sweep-two-user-sum-fine-json": (
         ["sweep", "--mode", "two-user-sum", *FINE_GRID, "--seed", "7", "--format", "json"],
         0,
-        "24007ddad3a85e0a57c7d96548ccd304e0b0908d712837b0de282d9e2b009f3e",
+        "59f7ed8b78bef1ceb9b70bbaab39d8c12db006d7dbf0ba167067b0cd77742f14",
         EMPTY,
     ),
     "sweep-four-user-cases-fine-json": (
         ["sweep", "--mode", "four-user-cases", *FINE_GRID, "--seed", "7", "--format", "json"],
         0,
-        "34833f1ed4898a1e05d797c1c6a05faf0d781dc3ac27b8bbcfd2e9b8a6ed03e0",
+        "037153deb85b47c52dbe8b326a663fa48bfffb471e3a36859a4cfb7f9a6734d5",
         EMPTY,
     ),
     "sweep-m-user-group-fine-json": (
         ["sweep", "--mode", "m-user-group", *FINE_GRID, "--seed", "7", "--format", "json"],
         0,
-        "82e27328f9b61a00ae201f63f08ec921f015ead7b704c27583d5e7d79b351b4a",
+        "7b0a73335c1d0f913bfc6d353738bc1bc1e9768dac9c45b1fa5ad86fb05b9407",
         EMPTY,
     ),
     "sweep-group-32-json": (
@@ -74,20 +74,20 @@ GOLDEN = {
          "--snr-stop", "30", "--snr-step", "0.25", "--trials", "500", "--seed", "11",
          "--format", "json"],
         0,
-        "ad04b5146f76589c272a61d588e43e40d57701339f5ab4ab63f6744ba7ca8339",
+        "15e564feb3d5ca4922470dbc6451d8f26253e37874508f46f62f6abb86edd157",
         EMPTY,
     ),
     "sweep-group-3": (
         ["sweep", "--mode", "m-user-group", "--users", "3", "--trials", "2000", "--seed", "42"],
         0,
-        "9c021ca7192ddd08896b4213a5ea4e565fc9548713336bfb6dc7c802fd02dfc8",
+        "2cce28846de464edae38d43319bdc21efc352a553cfe7386680572a8d614dbdc",
         EMPTY,
     ),
     "sweep-four-user-cases-31-points": (
         ["sweep", "--mode", "four-user-cases", "--snr-start", "-30", "--snr-stop", "60",
          "--snr-step", "3"],
         0,
-        "192f85bb8d4e59632b235ca3dc6243c02b78351374268ec1fb9359f1adfe6557",
+        "2bdffaa9f36426fb25fa476ba4dfa17775bf6b76646171c44ed1553d876a32d8",
         EMPTY,
     ),
     "pair-oracle-12": (

@@ -22,6 +22,7 @@ from uplink_noma import (
     sample_gain_rows,
     sample_rayleigh_gains,
 )
+from uplink_noma import sim
 from uplink_noma.sim import MODES, _mean_and_stderr
 
 SMALL_GRID = (-10.0, 0.0, 10.0, 20.0)
@@ -206,6 +207,39 @@ class TestSweepProperties:
             SweepConfig(mode="m-user-group", users=2, snr_db=grid, trials=300, seed=8)
         )
         assert _result_tables_equal(pair_sum, group)
+
+
+# (mode, users) of every mode, at its required size or a group of 5
+_MODE_SIZES = [(mode, size or 5) for mode, (_, size, _) in MODES.items()]
+
+
+class TestSharedDraw:
+    """A sweep draws its gains once, from grid point 0's stream, and every
+    point evaluates its kernel on them."""
+
+    @pytest.mark.parametrize("mode, users", _MODE_SIZES)
+    def test_one_draw_per_sweep(self, monkeypatch, mode, users):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return sample_gain_rows(*args)
+
+        monkeypatch.setattr(sim, "sample_gain_rows", counting)
+        run_sweep(SweepConfig(mode=mode, users=users, snr_db=SMALL_GRID, trials=50, seed=3))
+        assert calls == [(users, SeedSpec(3, 0), 50)]
+
+    @pytest.mark.parametrize("mode, users", _MODE_SIZES)
+    def test_a_point_is_the_same_alone_and_inside_a_longer_grid(self, mode, users):
+        grid = (-10.0, -2.5, 4.0, 17.0, 30.0)
+        whole = run_sweep(SweepConfig(mode=mode, users=users, snr_db=grid, trials=300, seed=6))
+        for point, snr_db in enumerate(grid):
+            alone = run_sweep(
+                SweepConfig(mode=mode, users=users, snr_db=(snr_db,), trials=300, seed=6)
+            )
+            for key in whole.series:
+                assert alone.series[key][0] == whole.series[key][point]
+                assert alone.stderr[key][0] == whole.stderr[key][point]
 
 
 class TestStackedReducer:
