@@ -41,7 +41,7 @@ from .pairing import (
     pair_indices,
     pairing_sum_rate,
 )
-from .channel import SeedSpec, sample_gain_rows, sample_rayleigh_gains
+from .channel import sample_gain_rows, sample_rayleigh_gains
 from .sim import SweepConfig, SweepResult, run_sweep
 
 __version__ = "0.1.0"
@@ -76,7 +76,6 @@ __all__ = [
     "near_far_policy",
     "pair_indices",
     "pairing_sum_rate",
-    "SeedSpec",
     "sample_gain_rows",
     "sample_rayleigh_gains",
     "SweepConfig",

@@ -36,8 +36,6 @@ MAX_ENUMERATION_USERS = 12
 # per-step slack when judging the case2 - case1 gap nondecreasing
 GAP_STEP_TOL = 1e-9
 
-OMA_BASELINES = ("pair", "network")
-
 
 @dataclass(frozen=True)
 class PairingPolicy:
@@ -147,30 +145,20 @@ def pair_indices(policies) -> np.ndarray:
     return np.array([policy.pairs for policy in policies]) - 1
 
 
-def pairing_sum_rate(
-    gains: ChannelGains,
-    policy: PairingPolicy,
-    snr: TransmitSnr,
-    oma_baseline: str = "pair",
-) -> RateReport:
+def pairing_sum_rate(gains: ChannelGains, policy: PairingPolicy, snr: TransmitSnr) -> RateReport:
     """Rates of a paired network, each pair optimally power loaded.
 
     Every pair is an isolated two-user NOMA system on its own resource with
     the `optimal_two_user` split (`matching_rates` with one matching). The
-    OMA baseline either halves each pair's resource ("pair", default) or
-    gives every user a 1/(2K) share of the whole band ("network").
+    OMA baseline gives each user half of its pair's resource.
     """
     check_received_snr(snr.rho, gains.gains)
-    if oma_baseline not in OMA_BASELINES:
-        raise ValidationError(
-            f"oma_baseline must be one of {OMA_BASELINES}, got {oma_baseline!r}"
-        )
     if policy.n_users != gains.m:
         raise DimensionError(
             f"policy covers {policy.n_users} users but {gains.m} gains given"
         )
     noma = matching_rates(snr.rho, gains.gains, pair_indices([policy]))[0]
-    oma = log2_1p(snr.rho * gains.gains) / (2 if oma_baseline == "pair" else gains.m)
+    oma = log2_1p(snr.rho * gains.gains) / 2
     return RateReport(noma, oma, float(noma.sum()), float(oma.sum()))
 
 

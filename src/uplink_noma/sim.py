@@ -3,10 +3,10 @@
 Each sweep averages ergodic rates over Rayleigh fading: rates are computed
 per draw and then averaged, never the other way around. The fading does not
 depend on the SNR, so a sweep draws its (trials, M) gain matrix once, at
-most MAX_GAINS_PER_POINT gains, in one `sample_gain_rows` call on the stream
-of grid point 0, and every grid point evaluates the mode's kernel on that
-same matrix as arrays (common random numbers). Trials are independent:
-trial t is words t*M .. t*M+M-1 of that stream, so averages are
+most MAX_SWEEP_GAINS gains, in one `sample_gain_rows` call on the seed's
+stream, and every grid point evaluates the mode's kernel on that same
+matrix as arrays (common random numbers). Trials are independent: trial t
+is words t*M .. t*M+M-1 of that stream, so averages are
 reproducible bit for bit regardless of execution order or batching, and a
 point's value does not depend on the rest of the grid. The points of one
 curve share their draws, so they move together from seed to seed; each
@@ -28,7 +28,7 @@ from .model import (
     sic_rates,
 )
 from .allocation import m_user_shares
-from .channel import SeedSpec, sample_gain_rows
+from .channel import sample_gain_rows
 from .pairing import FOUR_USER_PAIRS, matching_rates
 
 DEFAULT_SNR_DB = tuple(float(db) for db in range(-10, 31, 5))
@@ -36,10 +36,10 @@ DEFAULT_TRIALS = 10_000
 DEFAULT_SEED = 42
 DEFAULT_GROUP_SIZE = 12
 
-# most gains (trials x users) a sweep may draw, once, for all its grid
+# most gains (trials x users) in a sweep's one draw, shared by all its grid
 # points; the sampler holds them all at once and the sweep keeps them to its
 # last point, so a larger sweep is refused before anything is allocated
-MAX_GAINS_PER_POINT = 2**26
+MAX_SWEEP_GAINS = 2**26
 
 
 def _two_user_rates(rho, gains):
@@ -97,10 +97,10 @@ class SweepConfig:
             raise ValidationError(f"{self.mode} requires users={size}, got {self.users}")
         if not (isinstance(self.trials, (int, np.integer)) and self.trials >= 1):
             raise ValidationError(f"trials must be an integer >= 1, got {self.trials!r}")
-        if int(self.trials) * int(self.users) > MAX_GAINS_PER_POINT:
+        if int(self.trials) * int(self.users) > MAX_SWEEP_GAINS:
             raise ValidationError(
                 f"trials x users of {self.trials} x {self.users} exceeds "
-                f"{MAX_GAINS_PER_POINT} gains per grid point"
+                f"{MAX_SWEEP_GAINS} gains in the sweep's one draw"
             )
         if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**64):
             raise ValidationError("seed must fit in an unsigned 64-bit integer")
@@ -165,10 +165,10 @@ def _mean_and_stderr(samples) -> tuple:
 
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Average the config's mode kernel over the SNR grid, every point on the
-    sweep's one gain draw (the stream of point 0)."""
+    sweep's one gain draw (trials 0 .. trials-1 of the seed's stream)."""
     names, _, kernel = MODES[config.mode]
     rhos = [TransmitSnr.from_db(snr_db).rho for snr_db in config.snr_db]
-    gains = sample_gain_rows(config.users, SeedSpec(config.seed, 0), config.trials)
+    gains = sample_gain_rows(config.users, config.seed, config.trials)
     check_received_snr(rhos, gains)  # every point's, before any kernel product can overflow
     means = np.empty((len(names), len(rhos)))
     errors = np.empty_like(means)

@@ -665,7 +665,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "mode, users, trials",
         [
-            ("m-user-group", 5, (sim.MAX_GAINS_PER_POINT + 1) // 5),  # the cap plus one
+            ("m-user-group", 5, (sim.MAX_SWEEP_GAINS + 1) // 5),  # the cap plus one
             ("two-user-sum", 2, 2**62),
         ],
     )
@@ -674,13 +674,13 @@ class TestExitCodes:
             raise AssertionError("the sweep sampled gains past the cap")
 
         monkeypatch.setattr(sim, "sample_gain_rows", refuse)
-        assert users * trials > sim.MAX_GAINS_PER_POINT
+        assert users * trials > sim.MAX_SWEEP_GAINS
         code, out, err = _run(
             capsys, "sweep", "--mode", mode, "--users", str(users), "--trials", str(trials)
         )
         assert code == 2
         assert out == ""
-        assert err.startswith("error:") and f"{sim.MAX_GAINS_PER_POINT} gains" in err
+        assert err.startswith("error:") and f"{sim.MAX_SWEEP_GAINS} gains" in err
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("m", [cli.MAX_GROUP_SIZE + 1, 2**62])
@@ -771,7 +771,7 @@ FUZZ_VALUES = {
     "snr_stop": (["0", "10", "30"], ["1e308", "-inf", "x"]),
     "snr_step": (["5", "10"], ["0", "-5", "1e-9", "inf", "x"]),
     "trials": (["1", "5", "20"],
-               ["0", "-1", "2.5", "x", str(2**62), str(sim.MAX_GAINS_PER_POINT + 1)]),
+               ["0", "-1", "2.5", "x", str(2**62), str(sim.MAX_SWEEP_GAINS + 1)]),
     "seed": (["0", "3", str(2**64 - 1)], ["-1", str(2**64), "x"]),
     "format": (["csv", "json"], ["xml", "JSON"]),
     "output": (["{tmp}/out.txt"], ["{tmp}/no/such/dir/out.txt", "{tmp}"]),

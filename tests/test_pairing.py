@@ -181,21 +181,11 @@ class TestPairingSumRate:
         for policy, total in zip(policies, sums.tolist()):
             assert pairing_sum_rate(gains, policy, SNR10).noma_sum == total
 
-    def test_network_baseline_splits_the_whole_band(self):
-        pair_report = pairing_sum_rate(GAINS4, near_far_policy(2), SNR10, "pair")
-        net_report = pairing_sum_rate(GAINS4, near_far_policy(2), SNR10, "network")
-        assert net_report.oma_rates == pytest.approx(pair_report.oma_rates / 2.0, rel=1e-12)
-        assert np.array_equal(net_report.noma_rates, pair_report.noma_rates)
-
     @pytest.mark.filterwarnings("error")
     def test_rejects_a_subnormal_received_snr(self):
         gains = ChannelGains(np.array([5e-324, 1e-320, 1.0, 2.0]))
         with pytest.raises(ValidationError, match="must be positive, finite and normal"):
             pairing_sum_rate(gains, near_far_policy(2), TransmitSnr(1.0))
-
-    def test_rejects_unknown_baseline(self):
-        with pytest.raises(ValidationError):
-            pairing_sum_rate(GAINS4, near_far_policy(2), SNR10, "half")
 
     def test_rejects_policy_size_mismatch(self):
         with pytest.raises(DimensionError):

@@ -1,5 +1,6 @@
-"""The README's command-line examples, run through `cli.main`: each printed
-block must be the command's exact stdout, so the examples cannot go stale."""
+"""The README's examples: each printed command-line block must be the exact
+stdout of `cli.main`, and the library quick start must run, so the examples
+cannot go stale."""
 
 import json
 import shlex
@@ -48,3 +49,11 @@ def test_configuration_example_runs_as_a_sweep_config(tmp_path, capsys):
     assert main(["sweep", "--config", str(config)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert (payload["mode"], payload["trials"], payload["seed"]) == ("four-user-cases", 5000, 7)
+
+
+def test_library_quick_start_runs():
+    section = README.read_text(encoding="utf-8").split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(block, f"{README}:library quick start", "exec"), namespace)
+    assert namespace["result"].series["sum_noma"].size == 9

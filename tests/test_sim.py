@@ -8,7 +8,6 @@ import pytest
 
 from uplink_noma import (
     ChannelGains,
-    SeedSpec,
     SweepConfig,
     TransmitSnr,
     ValidationError,
@@ -82,7 +81,7 @@ class TestSingleDrawReductions:
             mode="four-user-cases", users=4, snr_db=(4.0,), trials=1, seed=77
         )
         result = run_sweep(config)
-        gains = sample_rayleigh_gains(4, SeedSpec(77, point=0, trial=0))
+        gains = sample_rayleigh_gains(4, 77)
         cases = four_user_cases(gains, TransmitSnr.from_db(4.0))
         assert result.series["case1"][0] == pytest.approx(cases.case1, rel=1e-12)
         assert result.series["case2"][0] == pytest.approx(cases.case2, rel=1e-12)
@@ -93,7 +92,7 @@ class TestSingleDrawReductions:
         config = SweepConfig(mode="two-user-rates", users=2, snr_db=(6.0,), trials=1, seed=5)
         result = run_sweep(config)
         snr = TransmitSnr.from_db(6.0)
-        gains = sample_rayleigh_gains(2, SeedSpec(5, 0, 0))
+        gains = sample_rayleigh_gains(2, 5)
         alloc = optimal_two_user(snr, float(gains.gains[0]))
         rates = noma_rates(gains, alloc, snr)
         floors = oma_rates(gains, snr)
@@ -106,7 +105,7 @@ class TestSingleDrawReductions:
         config = SweepConfig(mode="m-user-group", users=12, snr_db=(10.0,), trials=1, seed=3)
         result = run_sweep(config)
         snr = TransmitSnr.from_db(10.0)
-        gains = sample_rayleigh_gains(12, SeedSpec(3, 0, 0))
+        gains = sample_rayleigh_gains(12, 3)
         alloc = optimal_m_user(snr, float(gains.gains[0]), 12)
         assert result.series["sum_noma"][0] == pytest.approx(
             noma_sum_rate(gains, alloc, snr), rel=1e-12
@@ -125,7 +124,7 @@ class TestSingleDrawReductions:
         snr = TransmitSnr.from_db(8.0)
         noma, oma = [], []
         for trial in range(40):
-            gains = sample_rayleigh_gains(2, SeedSpec(21, 0, trial))
+            gains = sample_rayleigh_gains(2, 21, trial)
             alloc = optimal_two_user(snr, float(gains.gains[0]))
             noma.append(noma_sum_rate(gains, alloc, snr))
             oma.append(float(np.sum(oma_rates(gains, snr))))
@@ -214,7 +213,7 @@ _MODE_SIZES = [(mode, size or 5) for mode, (_, size, _) in MODES.items()]
 
 
 class TestSharedDraw:
-    """A sweep draws its gains once, from grid point 0's stream, and every
+    """A sweep draws its gains once, from the seed's stream, and every
     point evaluates its kernel on them."""
 
     @pytest.mark.parametrize("mode, users", _MODE_SIZES)
@@ -227,7 +226,7 @@ class TestSharedDraw:
 
         monkeypatch.setattr(sim, "sample_gain_rows", counting)
         run_sweep(SweepConfig(mode=mode, users=users, snr_db=SMALL_GRID, trials=50, seed=3))
-        assert calls == [(users, SeedSpec(3, 0), 50)]
+        assert calls == [(users, 3, 50)]
 
     @pytest.mark.parametrize("mode, users", _MODE_SIZES)
     def test_a_point_is_the_same_alone_and_inside_a_longer_grid(self, mode, users):
@@ -283,7 +282,7 @@ class TestKernelLayout:
         # at m = 2 the sampler's rows are a users-leading view; numpy sums a
         # C-contiguous row of 8 or more in another order than a strided one
         kernel = MODES[mode][2]
-        rows = sample_gain_rows(m, SeedSpec(7, 1), 257)
+        rows = sample_gain_rows(m, 7, 257)
         for rho in (0.1, 10.0, 1e3):
             samples = np.array(kernel(rho, rows))
             assert samples.shape == (len(MODES[mode][0]), 257)
