@@ -26,7 +26,6 @@ from .allocation import (
     optimal_two_user,
     protected_m_user,
     strong_share_bounds,
-    weak_user_share,
 )
 from .pairing import (
     CaseGapReport,
@@ -64,7 +63,6 @@ __all__ = [
     "optimal_two_user",
     "protected_m_user",
     "strong_share_bounds",
-    "weak_user_share",
     "CaseGapReport",
     "FourUserCases",
     "PairingPolicy",

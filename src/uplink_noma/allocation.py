@@ -63,17 +63,6 @@ def _check_gain(name: str, value: float) -> float:
     return value
 
 
-def weak_user_share(x):
-    """Weak-user power fraction (sqrt(1+x) - 1)/x at received SNR x = rho*g1.
-
-    This is the fraction left to the weak user at the two-user optimum.
-    Works elementwise on arrays; scalars in, scalar out.
-    """
-    x = np.asarray(x, dtype=float)
-    out = np.expm1(0.5 * np.log1p(x)) / x
-    return float(out) if out.ndim == 0 else out
-
-
 def strong_share_bounds(snr: TransmitSnr, g1: float, g2: float) -> FeasibleInterval:
     """Feasible interval for the strong user's power fraction alpha_2.
 
@@ -95,10 +84,11 @@ def strong_share_bounds(snr: TransmitSnr, g1: float, g2: float) -> FeasibleInter
     check_received_snr(snr.rho, (g1, g2))
     x1 = snr.rho * g1
     x2 = snr.rho * g2
-    upper = 1.0 - weak_user_share(x1)  # (1+s1)*s1/x1, as (1+s1)*s1 = x1 - s1
+    s1 = float(np.expm1(0.5 * np.log1p(x1)))  # sqrt(1+x1) - 1, as in `m_user_shares`
+    s2 = math.expm1(0.5 * math.log1p(x2))  # sqrt(1+x2) - 1
+    upper = 1.0 - s1 / x1  # (1+s1)*s1/x1, as (1+s1)*s1 = x1 - s1
     if upper >= 1.0:
         raise ValidationError(f"rho*g1 of {x1:g} puts the weak share below float resolution")
-    s2 = math.expm1(0.5 * math.log1p(x2))  # sqrt(1+x2) - 1
     lower = (1.0 + x1) * s2 / (x2 + x1 * s2)
     if lower > upper:
         if lower - upper > BOUND_TIE_TOL:
@@ -132,7 +122,7 @@ def m_user_shares(x, m: int) -> np.ndarray:
     r_k / r_{k-1}, with r_k = (1+x)^(1/k) - 1 = expm1(log1p(x)/k) and r_1 = x,
     so the products telescope to alpha_1 = r_m / r_1 and
     alpha_i = r_m / r_i - r_m / r_{i-1}, which sum to r_m / r_m = 1. At
-    m = 2 this is `weak_user_share` and its complement, bit for bit.
+    m = 2, alpha_1 = (sqrt(1+x) - 1)/x, the weak share of `optimal_two_user`.
     Elementwise over x, which must be finite and at least MIN_RECEIVED_SNR;
     output shape is x.shape + (m,), weakest user first. The result is the
     (..., m) view of a C-contiguous (m,) + x.shape array, users leading, so

@@ -31,10 +31,9 @@ from .pairing import (
     matching_array,
     matching_rates,
     near_far_policy,
-    pair_indices,
     pairing_sum_rate,
 )
-from .sim import DEFAULT_GROUP_SIZE, DEFAULT_SEED, DEFAULT_TRIALS, MODES, SweepConfig, run_sweep
+from .sim import DEFAULT_SEED, DEFAULT_SNR_DB, DEFAULT_TRIALS, MODES, SweepConfig, run_sweep
 
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
@@ -47,6 +46,9 @@ SEED_ENV_VAR = "UPLINK_NOMA_SEED"
 MAX_GRID_POINTS = 100_000
 # largest `alloc --m`; a larger group exits 2 before its shares are allocated
 MAX_GROUP_SIZE = 100_000
+# most gains `pair` ranks without --oracle; more exit 2 before any is checked,
+# as the near-far rating holds a (gains, gains) table
+MAX_PAIR_USERS = 4096
 
 # every option once, in --help order: dest -> (subcommands, default or
 # REQUIRED, add_argument keywords). The flag is "--" plus the dest with dashes;
@@ -60,11 +62,13 @@ _OPTIONS = {
     "oracle": (("pair",), False, dict(action="store_true", default=None,
                                       help="rank every perfect matching (up to 12 users)")),
     "mode": (("sweep",), REQUIRED, dict(choices=tuple(MODES), help="which comparison to average")),
-    # None: the mode's group size, chosen in cmd_sweep
-    "users": (("sweep",), None, dict(type=int, help="group size (2, 4, or M for m-user-group)")),
-    "snr_start": (("sweep",), -10.0, dict(type=float, help="grid start in dB")),
-    "snr_stop": (("sweep",), 30.0, dict(type=float, help="grid stop in dB")),
-    "snr_step": (("sweep",), 5.0, dict(type=float, help="grid step in dB")),
+    # None: the mode's group size, chosen by SweepConfig
+    "users": (("sweep",), None, dict(type=int, help="group size (default: the mode's; any M "
+                                                    "for m-user-group, 2 or 4 for the others)")),
+    "snr_start": (("sweep",), DEFAULT_SNR_DB[0], dict(type=float, help="grid start in dB")),
+    "snr_stop": (("sweep",), DEFAULT_SNR_DB[-1], dict(type=float, help="grid stop in dB")),
+    "snr_step": (("sweep",), DEFAULT_SNR_DB[1] - DEFAULT_SNR_DB[0],
+                 dict(type=float, help="grid step in dB")),
     "trials": (("sweep",), DEFAULT_TRIALS, dict(type=int, help="fading draws per grid point")),
     "seed": (("sweep",), DEFAULT_SEED,
              dict(type=int, help=f"root seed (env {SEED_ENV_VAR} overrides default)")),
@@ -112,7 +116,7 @@ def _read_config(path: str, command: str) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
             lines = handle.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read config file {path!r}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -234,20 +238,23 @@ def cmd_pair(args) -> int:
     values = np.sort(np.asarray(args.gains, dtype=float))
     if values.size % 2:
         raise ValidationError(f"--gains needs an even number of values, got {values.size}")
+    if values.size > MAX_PAIR_USERS and not args.oracle:  # the oracle's own cap is 12
+        raise ValidationError(f"--gains of {values.size} values exceeds {MAX_PAIR_USERS} users")
     gains = ChannelGains(values)
     snr = TransmitSnr.from_db(args.snr_db)
     near_far = near_far_policy(gains.m // 2)
-    pairs = matching_array(gains.m) if args.oracle else pair_indices([near_far])
+    pairs = matching_array(gains.m) if args.oracle else None  # its cap, before rho*g
     sums = np.array([pairing_sum_rate(gains, near_far, snr).noma_sum])  # checks rho*g
+    labels = [str(near_far)]
     if args.oracle:
         # drawn once for perfbench's matching counter, until ROADMAP item 1 re-keys it
         for _ in enumerate_matchings(gains.m):
             pass
         sums = matching_rates(snr.rho, gains.gains, pairs).sum(axis=-1)
-    n = gains.m
-    names = [f"({u // n + 1},{u % n + 1})" for u in range(n * n)]  # names[i*n + j]: "(i+1,j+1)"
-    pair_names = map(names.__getitem__, (pairs[..., 0] * n + pairs[..., 1]).ravel().tolist())
-    labels = list(map(",".join, zip(*[pair_names] * (n // 2))))  # K pair names per matching
+        n = gains.m
+        names = [f"({u // n + 1},{u % n + 1})" for u in range(n * n)]  # names[i*n + j]
+        pair_names = map(names.__getitem__, (pairs[..., 0] * n + pairs[..., 1]).ravel().tolist())
+        labels = list(map(",".join, zip(*[pair_names] * (n // 2))))  # K pair names each
     keys = np.array(labels, dtype=bytes)  # ASCII, so bytes sort as the labels do
     # descending sum rate; the near-far policy wins exact ties, then label order
     order = np.lexsort((keys, keys != str(near_far).encode(), -sums))
@@ -275,7 +282,7 @@ def _snr_grid(start: float, stop: float, step: float) -> tuple:
 def cmd_sweep(args) -> int:
     sweep = SweepConfig(
         mode=args.mode,
-        users=(MODES[args.mode][1] or DEFAULT_GROUP_SIZE) if args.users is None else args.users,
+        users=args.users,
         snr_db=_snr_grid(args.snr_start, args.snr_stop, args.snr_step),
         trials=args.trials,
         seed=args.seed,

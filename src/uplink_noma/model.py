@@ -10,7 +10,7 @@ weaker users j < i and the weakest user is decoded interference free.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,9 +18,6 @@ LN2 = math.log(2.0)
 
 # |sum(alphas) - 1| tolerance for a valid allocation of the shared budget
 SUM_TO_ONE_TOL = 1e-12
-
-# consistency tolerance between a reported sum rate and the sum of rates
-RATE_SUM_REL_TOL = 1e-9
 
 # smallest received SNR rho*g accepted, the smallest normal float; shares and
 # rates lose precision below it
@@ -124,12 +121,13 @@ class PowerAllocation:
 
 @dataclass(frozen=True, eq=False)
 class RateReport:
-    """Per-user NOMA and OMA rates (bits/s/Hz) with their sums."""
+    """Per-user NOMA and OMA rates (bits/s/Hz) with their sums, which are
+    taken from the frozen rate vectors, never given."""
 
     noma_rates: np.ndarray
     oma_rates: np.ndarray
-    noma_sum: float
-    oma_sum: float
+    noma_sum: float = field(init=False)
+    oma_sum: float = field(init=False)
 
     def __post_init__(self):
         rn = np.asarray(self.noma_rates, dtype=float)
@@ -140,15 +138,11 @@ class RateReport:
             raise ValidationError("rates must be finite")
         if np.any(rn < 0.0) or np.any(ro < 0.0):
             raise ValidationError("rates must be nonnegative")
-        for label, vec, total in (("noma", rn, self.noma_sum), ("oma", ro, self.oma_sum)):
-            if abs(total - float(vec.sum())) > RATE_SUM_REL_TOL * (1.0 + abs(total)):
-                raise ValidationError(f"{label}_sum is inconsistent with its rate vector")
-        rn = rn.copy()
-        ro = ro.copy()
-        rn.setflags(write=False)
-        ro.setflags(write=False)
-        object.__setattr__(self, "noma_rates", rn)
-        object.__setattr__(self, "oma_rates", ro)
+        for label, vec in (("noma", rn), ("oma", ro)):
+            vec = vec.copy()
+            vec.setflags(write=False)
+            object.__setattr__(self, f"{label}_rates", vec)
+            object.__setattr__(self, f"{label}_sum", float(vec.sum()))
 
 
 def check_received_snr(rho, gains) -> None:

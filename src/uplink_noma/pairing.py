@@ -159,16 +159,12 @@ def pairing_sum_rate(gains: ChannelGains, policy: PairingPolicy, snr: TransmitSn
         )
     noma = matching_rates(snr.rho, gains.gains, pair_indices([policy]))[0]
     oma = log2_1p(snr.rho * gains.gains) / 2
-    return RateReport(noma, oma, float(noma.sum()), float(oma.sum()))
+    return RateReport(noma, oma)
 
 
-# the three ways to pair four ascending users
-FOUR_USER_POLICIES = (
-    PairingPolicy(((1, 2), (3, 4))),  # case1: adjacent
-    PairingPolicy(((1, 3), (2, 4))),  # case2: interleaved
-    PairingPolicy(((1, 4), (2, 3))),  # case3: near-far
-)
-FOUR_USER_PAIRS = pair_indices(FOUR_USER_POLICIES)
+# the three ways to pair four ascending users, in `matching_array` row order:
+# case1 adjacent (1,2),(3,4); case2 interleaved (1,3),(2,4); case3 near-far (1,4),(2,3)
+FOUR_USER_PAIRS = matching_array(4)
 
 
 @dataclass(frozen=True)

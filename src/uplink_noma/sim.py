@@ -79,10 +79,12 @@ MODES = {
 
 @dataclass(frozen=True, eq=False)
 class SweepConfig:
-    """One sweep: mode, group size, SNR grid in dB, trial count, seed."""
+    """One sweep: mode, group size, SNR grid in dB, trial count, seed. A
+    group size of None is the mode's own, or DEFAULT_GROUP_SIZE for a mode
+    that takes any."""
 
     mode: str
-    users: int
+    users: int | None = None
     snr_db: tuple = DEFAULT_SNR_DB
     trials: int = DEFAULT_TRIALS
     seed: int = DEFAULT_SEED
@@ -90,9 +92,11 @@ class SweepConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValidationError(f"mode must be one of {tuple(MODES)}, got {self.mode!r}")
+        size = MODES[self.mode][1]
+        if self.users is None:
+            object.__setattr__(self, "users", size or DEFAULT_GROUP_SIZE)
         if not (isinstance(self.users, (int, np.integer)) and self.users >= 2):
             raise ValidationError(f"users must be an integer >= 2, got {self.users!r}")
-        size = MODES[self.mode][1]
         if size is not None and self.users != size:
             raise ValidationError(f"{self.mode} requires users={size}, got {self.users}")
         if not (isinstance(self.trials, (int, np.integer)) and self.trials >= 1):

@@ -16,6 +16,7 @@ from uplink_noma import (
     enumerate_matchings,
     four_user_cases,
     log2_1p,
+    m_user_shares,
     near_far_policy,
     noma_rates,
     oma_rates,
@@ -23,7 +24,6 @@ from uplink_noma import (
     pairing_sum_rate,
     protected_m_user,
     run_sweep,
-    weak_user_share,
 )
 from uplink_noma.cli import main as cli_main
 
@@ -39,7 +39,7 @@ def _verdict(tag, ok, detail=""):
 
 
 def _pair_sums(rho, g_weak, g_strong):
-    w = weak_user_share(rho * g_weak)
+    w = m_user_shares(rho * g_weak, 2)[..., 0]
     return log2_1p(rho * (w * g_weak + (1.0 - w) * g_strong))
 
 

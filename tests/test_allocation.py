@@ -22,7 +22,6 @@ from uplink_noma import (
     optimal_two_user,
     protected_m_user,
     strong_share_bounds,
-    weak_user_share,
 )
 from uplink_noma.model import MIN_RECEIVED_SNR
 
@@ -74,13 +73,6 @@ class TestTwoUserOptimum:
         a = optimal_two_user(TransmitSnr(10.0), 0.5)
         b = optimal_two_user(TransmitSnr(0.5), 10.0)
         assert a.alphas == pytest.approx(b.alphas, rel=1e-14)
-
-    def test_weak_share_scalar_matches_array(self):
-        xs = np.geomspace(1e-4, 1e5, 12)
-        vec = weak_user_share(xs)
-        scalars = np.array([weak_user_share(float(x)) for x in xs])
-        assert np.array_equal(vec, scalars)
-        assert isinstance(weak_user_share(3.0), float)
 
     def test_strong_share_interior_over_wide_grid(self):
         for rho in RHO_GRID:
@@ -368,8 +360,9 @@ class TestMUser:
             [np.geomspace(1e-300, 1e300, 2001), np.random.default_rng(2).uniform(0, 50, 2000)]
         )
         shares = m_user_shares(xs, 2)
-        assert np.array_equal(shares[..., 0], weak_user_share(xs))
-        assert np.array_equal(shares[..., 1], 1.0 - weak_user_share(xs))
+        weak = np.expm1(0.5 * np.log1p(xs)) / xs  # (sqrt(1+x) - 1)/x
+        assert np.array_equal(shares[..., 0], weak)
+        assert np.array_equal(shares[..., 1], 1.0 - weak)
 
     def test_rejects_tiny_groups(self):
         with pytest.raises(ValidationError):

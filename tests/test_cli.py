@@ -188,10 +188,20 @@ class TestPair:
         table = [[label, float(value)] for label, value in rows]
         assert out == cli._render_csv(header, table) == _row_wise_csv(header, table)
 
-    def test_oracle_respects_enumeration_cap(self, capsys):
-        gains = [str(v) for v in np.linspace(0.1, 2.0, 14)]
-        code, _, _ = _run(capsys, "pair", "--gains", *gains, "--snr-db", "10", "--oracle")
-        assert code == 2
+    def test_near_far_label_is_the_policys_text(self, capsys):
+        gains = [repr(g) for g in np.random.default_rng(64).standard_exponential(64).tolist()]
+        code, out, _ = _run(capsys, "pair", "--gains", *gains, "--snr-db", "10")
+        assert code == 0
+        _, rows = _parse_csv(out)
+        assert [label for label, _ in rows] == [
+            ",".join(f"({i},{65 - i})" for i in range(1, 33))
+        ]
+
+    @pytest.mark.parametrize("n", [14, cli.MAX_PAIR_USERS + 2])  # past pair's own cap too
+    def test_oracle_respects_enumeration_cap(self, capsys, n):
+        gains = [str(v) for v in np.linspace(0.1, 2.0, n)]
+        code, out, err = _run(capsys, "pair", "--gains", *gains, "--snr-db", "10", "--oracle")
+        assert (code, out, err) == (2, "", f"error: enumeration is capped at 12 users, got {n}\n")
 
 
 def _row_wise_csv(columns, rows):
@@ -717,6 +727,27 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error:") and "rho*g" in err
         assert len(err.splitlines()) == 1
+
+    def test_pair_past_the_user_cap_exits_2(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("pair checked gains past the cap")
+
+        monkeypatch.setattr(cli, "ChannelGains", refuse)
+        gains = [str(v) for v in range(1, cli.MAX_PAIR_USERS + 3)]
+        code, out, err = _run(capsys, "pair", "--gains", *gains, "--snr-db", "10")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: --gains of {cli.MAX_PAIR_USERS + 2} values exceeds "
+            f"{cli.MAX_PAIR_USERS} users\n"
+        )
+
+    def test_config_that_is_not_utf8_is_one_error_line(self, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_bytes(b"mode = two-user-sum\n\xff = 3\n")
+        code, out, err = _run(capsys, "sweep", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read config file {str(config)!r}: ")
+        assert "can't decode byte 0xff" in err and len(err.splitlines()) == 1
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(

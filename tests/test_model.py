@@ -11,6 +11,7 @@ from uplink_noma import (
     ChannelGains,
     DimensionError,
     PowerAllocation,
+    RateReport,
     TransmitSnr,
     ValidationError,
     noma_rates,
@@ -299,3 +300,30 @@ class TestValidation:
             PowerAllocation(np.array([0.5, 0.5 + 3e-12]))
         # within tolerance is fine
         PowerAllocation(np.array([0.5, 0.5 + 5e-13]))
+
+
+class TestRateReport:
+    def test_sums_are_the_sums_of_the_frozen_vectors(self):
+        rng = np.random.default_rng(11)
+        for n in (2, 7, 8, 33):
+            noma, oma = rng.uniform(0.0, 5.0, (2, n))
+            report = RateReport(noma[::-1], oma)  # a strided view is copied first
+            assert report.noma_sum == float(np.ascontiguousarray(noma[::-1]).sum())
+            assert report.oma_sum == float(oma.sum())
+            assert np.array_equal(report.noma_rates, noma[::-1])
+            assert not report.noma_rates.flags.writeable
+
+    def test_constructor_refuses_sums(self):
+        rates = np.array([1.0, 2.0])
+        with pytest.raises(TypeError):
+            RateReport(rates, rates, 3.0, 3.0)
+        with pytest.raises(TypeError):
+            RateReport(rates, rates, noma_sum=3.0)
+
+    def test_rejects_bad_vectors(self):
+        with pytest.raises(DimensionError):
+            RateReport(np.ones(2), np.ones(3))
+        with pytest.raises(ValidationError):
+            RateReport(np.array([1.0, -1.0]), np.ones(2))
+        with pytest.raises(ValidationError):
+            RateReport(np.array([1.0, np.inf]), np.ones(2))

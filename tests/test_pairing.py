@@ -28,6 +28,8 @@ from uplink_noma import (
     pairing_sum_rate,
 )
 
+from uplink_noma.pairing import FOUR_USER_PAIRS
+
 SNR10 = TransmitSnr(10.0)
 GAINS4 = ChannelGains(np.array([0.3, 0.8, 2.0, 5.0]))
 
@@ -193,6 +195,10 @@ class TestPairingSumRate:
 
 
 class TestFourUserCases:
+    def test_pairs_are_the_three_cases_in_order(self):
+        # case1 adjacent, case2 interleaved, case3 near-far, zero-based
+        assert FOUR_USER_PAIRS.tolist() == [[[0, 1], [2, 3]], [[0, 2], [1, 3]], [[0, 3], [1, 2]]]
+
     def test_reference_values(self):
         cases = four_user_cases(GAINS4, SNR10)
         assert cases.case1 == pytest.approx(8.386257706834769, rel=1e-12)

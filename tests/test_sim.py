@@ -43,6 +43,18 @@ class TestConfig:
         assert config.trials == 10_000
         assert config.seed == 42
 
+    @pytest.mark.parametrize(
+        "mode, users",
+        [("two-user-rates", 2), ("two-user-sum", 2), ("four-user-cases", 4), ("m-user-group", 12)],
+    )
+    def test_users_default_to_the_modes_group_size(self, mode, users):
+        config = SweepConfig(mode=mode)
+        assert config.users == users
+        assert _result_tables_equal(
+            run_sweep(SweepConfig(mode=mode, snr_db=(0.0, 10.0), trials=20, seed=1)),
+            run_sweep(SweepConfig(mode=mode, users=users, snr_db=(0.0, 10.0), trials=20, seed=1)),
+        )
+
     def test_mode_and_users_must_agree(self):
         with pytest.raises(ValidationError):
             SweepConfig(mode="two-user-sum", users=4)
