@@ -111,7 +111,7 @@ def optimal_two_user(snr: TransmitSnr, g1: float) -> PowerAllocation:
     return optimal_m_user(snr, g1, 2)
 
 
-def m_user_shares(x, m: int) -> np.ndarray:
+def m_user_shares(x, m: int, out=None) -> np.ndarray:
     """Recursive m-user power fractions at weak-user received SNR x = rho*g1.
 
     The split pins only user 1 to its orthogonal rate; the stronger users,
@@ -126,7 +126,10 @@ def m_user_shares(x, m: int) -> np.ndarray:
     Elementwise over x, which must be finite and at least MIN_RECEIVED_SNR;
     output shape is x.shape + (m,), weakest user first. The result is the
     (..., m) view of a C-contiguous (m,) + x.shape array, users leading, so
-    each user's shares are contiguous and no transposing copy is made.
+    each user's shares are contiguous and no transposing copy is made. With
+    `out`, a float (m,) + x.shape buffer in any layout, the shares are
+    written into it and the view of it is returned, so a caller evaluating
+    many points reuses one buffer.
     """
     if not (isinstance(m, (int, np.integer)) and m >= 2):
         raise ValidationError(f"group size m must be an integer >= 2, got {m!r}")
@@ -134,9 +137,18 @@ def m_user_shares(x, m: int) -> np.ndarray:
     if np.any(x < MIN_RECEIVED_SNR) or not np.all(np.isfinite(x)):
         raise ValidationError("rho*g1 must be positive, finite and normal")
     # users on a leading axis keep numpy's inner loops long, over x
-    r = np.empty((int(m),) + x.shape)
+    shape = (int(m),) + x.shape
+    if out is None:
+        r = np.empty(shape)
+    elif isinstance(out, np.ndarray) and out.shape == shape and out.dtype == float:
+        r = out
+    else:
+        raise ValidationError(f"out must be a float array of shape {shape}")
     r[0] = x  # not expm1(log1p(x)), which can be an ulp off x
-    np.expm1(np.log1p(x) / np.arange(2, m + 1).reshape((-1,) + (1,) * x.ndim), out=r[1:])
+    # log1p(x) divided straight into r[1:]: log1p written into r and divided
+    # there would overlap, and numpy would copy it
+    np.divide(np.log1p(x), np.arange(2, m + 1).reshape((-1,) + (1,) * x.ndim), out=r[1:])
+    np.expm1(r[1:], out=r[1:])
     np.divide(r[-1], r[:-1], out=r[:-1])  # r_m / r_i, in place
     np.subtract(1.0, r[-2], out=r[-1, ...])  # not r_m / r_m, 0/0 where r_m underflows
     r[1:-1] -= r[:-2]  # numpy reads the overlapping operands as if copied

@@ -197,12 +197,22 @@ def _row_sum_order(m: int) -> str:
     return "C" if m >= 8 else "K"
 
 
-def group_sum_rate(rho, alphas, gains):
+def group_sum_rate(rho, alphas, gains, out=None, products=None):
     """SIC sum rate log2(1 + rho*sum_i a_i*g_i) along the last axis, without
     validation; the per-user rates of `sic_rates` telescope to it. Each row
-    is summed in one order whatever the inputs' layout (`_row_sum_order`)."""
-    products = np.multiply(alphas, gains, order=_row_sum_order(np.shape(gains)[-1]))
-    return log2_1p(rho * np.sum(products, axis=-1))
+    is summed in one order whatever the inputs' layout (`_row_sum_order`).
+
+    The rates go into `out` if given. `products`, if given, is the scratch
+    buffer for a_i*g_i: the broadcast shape, laid out as `_row_sum_order`
+    says (with "K", as the gains), so a caller evaluating many points reuses
+    one buffer and gets the same bits.
+    """
+    if products is None:
+        products = np.multiply(alphas, gains, order=_row_sum_order(np.shape(gains)[-1]))
+    else:
+        np.multiply(alphas, gains, out=products)
+    total = np.multiply(rho, np.sum(products, axis=-1, out=out), out=out)
+    return log2_1p(total, out=out)
 
 
 def noma_rates(gains: ChannelGains, alloc: PowerAllocation, snr: TransmitSnr) -> np.ndarray:

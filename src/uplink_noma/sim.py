@@ -13,7 +13,14 @@ curve share their draws, so they move together from seed to seed; each
 point's mean and standard error are those of its own independent trials.
 Each mode's columns, group size and kernel live in one table, `MODES`,
 which `SweepConfig`, `run_sweep` and the CLI read; the four-user cases use
-`matching_rates`.
+`matching_rates`. A mode's kernel is set up once per sweep, on the draw:
+it allocates the (columns, trials) output block and any trials x users
+buffers then, every grid point overwrites them, and the reduce squares the
+deviations in the block itself. The sweep holds its draw and this workspace
+to its last point. A point still allocates row-length temporaries, numpy's
+copy of the rows `m_user_shares` subtracts overlapping, and in the
+four-user cases the tables of `matching_rates`. Each point's bits are those
+it would have alone.
 """
 
 from __future__ import annotations
@@ -37,38 +44,70 @@ DEFAULT_SEED = 42
 DEFAULT_GROUP_SIZE = 12
 
 # most gains (trials x users) in a sweep's one draw, shared by all its grid
-# points; the sampler holds them all at once and the sweep keeps them to its
-# last point, so a larger sweep is refused before anything is allocated
+# points; the sampler holds them all at once, and the sweep keeps them and its
+# workspace (at most two more trials x users buffers, in the group-sum modes)
+# to its last point, so a larger sweep is refused before anything is allocated
 MAX_SWEEP_GAINS = 2**26
 
 
-def _two_user_rates(rho, gains):
-    """One C-contiguous (4, trials) block: the NOMA rates of both users at
-    the optimal split, then their OMA rates, each row ready to reduce."""
+def _two_user_rates(gains):
+    """Point kernel into one C-contiguous (4, trials) block: the NOMA rates of
+    both users at the optimal split, then their OMA rates. Each point writes
+    rho*g1 into an OMA row, the shares over the NOMA rows, and then the SIC
+    rates over the shares, so the block is the point's only buffer."""
     block = np.empty((4, len(gains)))
-    sic_rates(rho, m_user_shares(rho * gains[:, 0], 2), gains, out=block[:2].T)
-    oma = log2_1p(np.multiply(rho, gains.T, out=block[2:]), out=block[2:])
-    oma *= 0.5
-    return block
+
+    def point(rho):
+        x = np.multiply(rho, gains[:, 0], out=block[2])
+        sic_rates(rho, m_user_shares(x, 2, out=block[:2]), gains, out=block[:2].T)
+        oma = log2_1p(np.multiply(rho, gains.T, out=block[2:]), out=block[2:])
+        oma *= 0.5
+        return block
+
+    return point
 
 
-def _group_and_oma_sums(rho, gains):
-    """Each row's recursive-split NOMA sum (at two users, the optimal pair)
-    and its 1/M orthogonal sum, each row summed in one order whatever the
-    gains' layout (as in `group_sum_rate`)."""
-    m = gains.shape[1]
-    noma = group_sum_rate(rho, m_user_shares(rho * gains[:, 0], m), gains)
-    return noma, np.sum(log2_1p(np.multiply(rho, gains, order=_row_sum_order(m))), axis=1) / m
+def _group_and_oma_sums(gains):
+    """Point kernel into one C-contiguous (2, trials) block: each row's
+    recursive-split NOMA sum (at two users, the optimal pair) and its 1/M
+    orthogonal sum. One (users, trials) shares buffer and one (trials, users)
+    products buffer, laid out as `_row_sum_order` says, serve every point;
+    the products buffer takes the NOMA products and then the OMA log terms,
+    so each row is summed in one order whatever the gains' layout."""
+    trials, m = gains.shape
+    block = np.empty((2, trials))
+    shares = np.empty((m, trials))
+    products = np.empty_like(gains, order=_row_sum_order(m))
+
+    def point(rho):
+        alphas = m_user_shares(np.multiply(rho, gains[:, 0], out=block[0]), m, out=shares)
+        group_sum_rate(rho, alphas, gains, out=block[0], products=products)
+        log2_1p(np.multiply(rho, gains, out=products), out=products)
+        oma = np.sum(products, axis=1, out=block[1])
+        oma /= m
+        return block
+
+    return point
 
 
-def _four_user_sums(rho, gains):
-    return matching_rates(rho, gains, FOUR_USER_PAIRS).sum(axis=-1).T
+def _four_user_sums(gains):
+    """Point kernel into one C-contiguous (3, trials) block of the three
+    pairings' sum rates."""
+    block = np.empty((3, len(gains)))
+
+    def point(rho):
+        np.sum(matching_rates(rho, gains, FOUR_USER_PAIRS), axis=-1, out=block.T)
+        return block
+
+    return point
 
 
 # mode -> (series columns, means first, in CLI output order; the group size
-# the mode requires, or None for any; per-point kernel: (rho, (trials, users)
-# gain matrix) -> per-trial samples of each column, as a tuple of arrays or
-# one (columns, trials) array)
+# the mode requires, or None for any; per-sweep kernel: (trials, users) gain
+# matrix -> point function, rho -> per-trial samples of each column as one
+# C-contiguous (columns, trials) block). The kernel allocates the block and
+# every buffer once and each point overwrites them, so the caller may
+# overwrite a point's block, as `_mean_and_stderr` does, until the next point.
 MODES = {
     "two-user-rates": (("R1_noma", "R2_noma", "R1_oma", "R2_oma"), 2, _two_user_rates),
     "two-user-sum": (("sum_noma", "sum_oma"), 2, _group_and_oma_sums),
@@ -156,15 +195,16 @@ def _mean_and_stderr(samples) -> tuple:
     array: a kernel's block as it is, a tuple or strided array copied into
     one. A strided view would be summed in another order, a few ulps off.
     The steps are those of numpy's `mean` and `std(ddof=1)`, so the bits are
-    theirs, but the mean is summed once and the deviations squared in place."""
+    theirs, but the mean is summed once and the deviations are squared in
+    place: a C-contiguous array given is overwritten with them."""
     stack = np.ascontiguousarray(samples)
     n = stack.shape[1]
     mean = stack.sum(axis=1) / n
     if n < 2:
         return mean, np.zeros_like(mean)
-    deviations = stack - mean[:, np.newaxis]
-    deviations *= deviations
-    return mean, np.sqrt(deviations.sum(axis=1) / (n - 1)) / math.sqrt(n)
+    np.subtract(stack, mean[:, np.newaxis], out=stack)
+    stack *= stack
+    return mean, np.sqrt(stack.sum(axis=1) / (n - 1)) / math.sqrt(n)
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
@@ -174,10 +214,11 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     rhos = [TransmitSnr.from_db(snr_db).rho for snr_db in config.snr_db]
     gains = sample_gain_rows(config.users, config.seed, config.trials)
     check_received_snr(rhos, gains)  # every point's, before any kernel product can overflow
+    point = kernel(gains)
     means = np.empty((len(names), len(rhos)))
     errors = np.empty_like(means)
-    for point, rho in enumerate(rhos):
-        means[:, point], errors[:, point] = _mean_and_stderr(kernel(rho, gains))
+    for i, rho in enumerate(rhos):
+        means[:, i], errors[:, i] = _mean_and_stderr(point(rho))
     return SweepResult(
         mode=config.mode,
         users=config.users,

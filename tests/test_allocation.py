@@ -1,6 +1,7 @@
 """Power allocation tests: closed forms against independent numerical oracles."""
 
 import decimal
+import math
 
 import numpy as np
 import pytest
@@ -338,6 +339,23 @@ class TestMUser:
         grid = m_user_shares(xs.reshape(3, 3), m)
         assert grid.shape == (3, 3, m)
         assert np.array_equal(grid.reshape(9, m), batch)
+
+    @pytest.mark.parametrize("m", [2, 3, 12, 32])
+    @pytest.mark.parametrize("shape", [(), (9,), (3, 3)])
+    def test_shares_written_into_a_given_buffer_are_a_view_of_it(self, m, shape):
+        xs = np.geomspace(1e-4, 1e5, 9)[: math.prod(shape)].reshape(shape)
+        for order in ("C", "F"):  # users leading, and the transposed layout
+            buf = np.full((m,) + shape, np.nan, order=order)
+            shares = m_user_shares(xs, m, out=buf)
+            assert np.shares_memory(shares, buf)
+            assert np.array_equal(shares, m_user_shares(xs, m))
+
+    @pytest.mark.parametrize(
+        "out", [np.empty((9, 3)), np.empty((3, 8)), np.empty((3, 9), dtype=np.float32), [0.0] * 27]
+    )
+    def test_a_buffer_of_the_wrong_shape_or_type_is_rejected(self, out):
+        with pytest.raises(ValidationError, match="out must be a float array of shape"):
+            m_user_shares(np.geomspace(1e-4, 1e5, 9), 3, out=out)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("m", [2, 3, 4, 12, 32])

@@ -228,30 +228,58 @@ def _row_wise_json(columns, rows, meta):
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _token_cells(tokens, nonempty=False):
+    """Cells of up to 4 tokens joined (at least 1 if nonempty), each drawn as
+    one integer whose 4 digits in base len(tokens) + 1 pick the tokens, digit
+    0 none."""
+    base = len(tokens) + 1
+
+    def join(code):
+        digits = [code // base**i % base for i in range(4)]
+        return "".join(tokens[digit - 1] for digit in digits if digit)
+
+    return st.integers(int(nonempty), base**4 - 1).map(join)
+
+
 # cells the csv module quotes, doubles or special-cases, plus non-ASCII text
-_STRINGS = st.lists(
-    st.sampled_from([",", '"', "\r", "\n", "a", "(1,2)", " ", "é", "→"]), max_size=4
-).map("".join)
+_STRINGS = _token_cells([",", '"', "\r", "\n", "a", "(1,2)", " ", "é", "→"])
 # the text a CSV table may hold: non-empty, with no quote, CR or LF
-_CSV_STRINGS = st.lists(
-    st.sampled_from([",", "a", "(1,2)", " ", "é", "→"]), min_size=1, max_size=4
-).map("".join)
+_CSV_STRINGS = _token_cells([",", "a", "(1,2)", " ", "é", "→"], nonempty=True)
 _CSV_TEXT = st.text(min_size=1).filter(lambda text: not set(text) & set('"\r\n'))
-_REALS = st.one_of(
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -2.5e-7]),
-    st.floats(),
-).flatmap(lambda v: st.sampled_from([v, np.float64(v)]))
+_REALS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -2.5e-7]) | st.floats()
+_MAX_ROWS = 5
 
 
-@st.composite
-def _tables(draw, strings=_STRINGS, text=st.text()):
-    """(columns, rows) whose columns are each all strings or all reals."""
-    kinds = draw(st.lists(st.sampled_from([strings, text, _REALS]), min_size=1, max_size=4))
-    n_rows = draw(st.integers(0, 5))
+def _column(cells, n_rows):
+    """One draw of a whole column of n_rows cells. A real column is a list of
+    floats and one bit mask saying which are np.float64, not Python floats."""
+    column = st.lists(cells, min_size=n_rows, max_size=n_rows)
+    if cells is not _REALS:
+        return column
+    return st.tuples(column, st.integers(0, 2**n_rows - 1)).map(
+        lambda drawn: [np.float64(v) if drawn[1] >> i & 1 else v for i, v in enumerate(drawn[0])]
+    )
+
+
+def _tables(strings=_STRINGS, text=st.text()):
+    """(columns, rows) whose columns are each all strings or all reals. Every
+    strategy is built once, not per example, and each string cell and each
+    column's types are one draw: hypothesis's cost is per draw."""
+    kinds = st.lists(st.sampled_from([strings, text, _REALS]), min_size=1, max_size=4)
+    n_rows = st.integers(0, _MAX_ROWS)
     names = strings | st.just("sum_noma")
-    columns = draw(st.lists(names, min_size=len(kinds), max_size=len(kinds)))
-    cells = [draw(st.lists(kind, min_size=n_rows, max_size=n_rows)) for kind in kinds]
-    return columns, [list(row) for row in zip(*cells)]
+    headers = {k: st.lists(names, min_size=k, max_size=k) for k in range(1, 5)}
+    columns = {
+        (kind, n): _column(kind, n) for kind in (strings, text, _REALS) for n in range(_MAX_ROWS + 1)
+    }
+
+    @st.composite
+    def tables(draw):
+        chosen, n = draw(kinds), draw(n_rows)
+        cells = [draw(columns[kind, n]) for kind in chosen]
+        return draw(headers[len(chosen)]), [list(row) for row in zip(*cells)]
+
+    return tables()
 
 
 class TestRenderers:

@@ -18,7 +18,7 @@ from uplink_noma import (
     noma_sum_rate,
     oma_rates,
 )
-from uplink_noma.model import check_gains, sic_rates
+from uplink_noma.model import _row_sum_order, check_gains, group_sum_rate, sic_rates
 
 SNR10 = TransmitSnr(10.0)
 
@@ -115,6 +115,18 @@ class TestNomaSumRate:
             for a2 in grid
         ]
         assert np.allclose(sums, sums[0], rtol=1e-12)
+
+    @pytest.mark.parametrize("m", [2, 3, 8, 32])
+    def test_given_buffers_give_the_same_bits(self, m):
+        rng = np.random.default_rng(m)
+        gains = np.sort(rng.exponential(size=(101, m)), axis=1)
+        alphas = rng.dirichlet(np.ones(m), size=101)
+        for layout in (gains, np.asfortranarray(gains)):
+            expected = group_sum_rate(10.0, alphas, layout)
+            out = np.full(101, np.nan)
+            products = np.full_like(layout, np.nan, order=_row_sum_order(m))
+            assert group_sum_rate(10.0, alphas, layout, out=out, products=products) is out
+            assert np.array_equal(out, expected)
 
 
 @st.composite

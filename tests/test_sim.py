@@ -1,6 +1,7 @@
 """Monte Carlo sweep tests: determinism, reductions, vectorized-path parity."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -295,9 +296,77 @@ class TestKernelLayout:
         # C-contiguous row of 8 or more in another order than a strided one
         kernel = MODES[mode][2]
         rows = sample_gain_rows(m, 7, 257)
+        points = [kernel(r) for r in (rows, np.ascontiguousarray(rows), np.asfortranarray(rows))]
         for rho in (0.1, 10.0, 1e3):
-            samples = np.array(kernel(rho, rows))
+            samples = points[0](rho)
             assert samples.shape == (len(MODES[mode][0]), 257)
-            assert np.array_equal(np.array(kernel(rho, np.ascontiguousarray(rows))), samples)
-            assert np.array_equal(np.array(kernel(rho, np.asfortranarray(rows))), samples)
+            assert samples.flags.c_contiguous  # reduced in place, never copied
+            for point in points[1:]:
+                assert np.array_equal(point(rho), samples)
 
+
+def _nan_filled(allocate):
+    def allocate_nan(*args, **kwargs):
+        out = allocate(*args, **kwargs)
+        out.fill(np.nan)
+        return out
+
+    return allocate_nan
+
+
+class TestWorkspace:
+    """A sweep's kernel allocates its block and buffers once; each point
+    overwrites them and the reduce works in place on the block."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mode, users", _MODE_SIZES)
+    def test_stale_buffers_give_the_same_bits_as_fresh_ones(self, monkeypatch, mode, users):
+        kernel = MODES[mode][2]
+        gains = sample_gain_rows(users, 5, 300)
+        rhos = (0.1, 10.0, 1e3)
+        fresh = {rho: kernel(gains)(rho).copy() for rho in rhos}
+        with monkeypatch.context() as patch:  # the block and every buffer start as NaN
+            for name in ("empty", "empty_like"):
+                patch.setattr(np, name, _nan_filled(getattr(np, name)))
+            point = kernel(gains)
+        # then each point starts from the last one's buffers, its block
+        # holding the squared deviations the reduce leaves
+        for rho in rhos + rhos[::-1]:
+            block = point(rho)
+            assert np.array_equal(block, fresh[rho])
+            _mean_and_stderr(block)
+
+    @staticmethod
+    def _fresh_bytes(call):
+        """Peak bytes one call allocates beyond what is held before it."""
+        call()  # numpy's first-call caches
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            call()
+            return tracemalloc.get_traced_memory()[1] - held
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+
+    def test_a_two_user_rates_point_allocates_at_most_16_bytes_a_trial(self):
+        # what is left: one row-length temporary each in `m_user_shares`
+        # (log1p) and `sic_rates` (1 + interference), never both at once
+        trials = 10_000
+        point = MODES["two-user-rates"][2](sample_gain_rows(2, 5, trials))
+        assert self._fresh_bytes(lambda: point(10.0)) <= 16 * trials
+
+    def test_an_m_user_group_point_allocates_less_than_m_rows(self):
+        # what is left is numpy's copy of the M - 2 rows that `m_user_shares`
+        # subtracts overlapping, and a row-length log1p temporary before it
+        trials, m = 10_000, 12
+        point = MODES["m-user-group"][2](sample_gain_rows(m, 5, trials))
+        assert self._fresh_bytes(lambda: point(10.0)) <= 8 * (m - 1) * trials
+
+    def test_the_reduce_of_a_block_works_in_place(self):
+        trials = 10_000
+        block = np.random.default_rng(1).exponential(size=(4, trials))
+        assert self._fresh_bytes(lambda: _mean_and_stderr(block)) <= trials
