@@ -8,8 +8,11 @@ All SNR flags take dB values and are converted internally via
 rho = 10^(dB/10). Every numeric output is rendered with 9 significant
 digits, identically in CSV and JSON. CSV text (matching labels and column
 names) is never empty and holds no quote, CR or LF, so a cell is quoted
-just when it holds a comma, as csv's QUOTE_MINIMAL does. File output is
-written to a temporary file in the target directory and renamed into place.
+just when it holds a comma, as csv's QUOTE_MINIMAL does. The CSV body is
+one %-template, "%s" per text cell and "%.9g" per real, filled in one
+format call; cells are its arguments, never part of it, so a literal "%" in
+a cell prints as is. File output is written to a temporary file in the
+target directory and renamed into place.
 """
 
 from __future__ import annotations
@@ -175,12 +178,19 @@ def _quote_minimal(cell: str) -> str:
 
 
 def _render_csv(columns, rows) -> str:
-    # column by column, each all strings or all reals, made lazily so only the
-    # finished lines are held whole. Text cells and names are non-empty and
-    # hold no quote, CR or LF, so quoting those with a comma is QUOTE_MINIMAL
-    table = [(column, isinstance(column[0], str)) for column in zip(*rows)]
-    cells = zip(*[map(_quote_minimal if text else _fmt, c) for c, text in table])
-    return "\n".join([",".join(map(_quote_minimal, columns)), *map(",".join, cells), ""])
+    # the body is one %-template filled from the flat cells in one call; each
+    # text column is quoted (QUOTE_MINIMAL, see the module docstring) through
+    # one strided slice of them
+    header = ",".join(map(_quote_minimal, columns)) + "\n"
+    if not rows:
+        return header
+    text = [isinstance(cell, str) for cell in rows[0]]
+    flat = [cell for row in rows for cell in row]
+    for column, is_text in enumerate(text):
+        if is_text:
+            flat[column :: len(text)] = map(_quote_minimal, flat[column :: len(text)])
+    line = ",".join("%s" if is_text else "%.9g" for is_text in text) + "\n"
+    return header + (line * len(rows)) % tuple(flat)
 
 
 def _render_json(columns, rows, meta: dict | None = None) -> str:
@@ -244,22 +254,24 @@ def cmd_pair(args) -> int:
     snr = TransmitSnr.from_db(args.snr_db)
     near_far = near_far_policy(gains.m // 2)
     pairs = matching_array(gains.m) if args.oracle else None  # its cap, before rho*g
-    sums = np.array([pairing_sum_rate(gains, near_far, snr).noma_sum])  # checks rho*g
-    labels = [str(near_far)]
-    if args.oracle:
-        # drawn once for perfbench's matching counter, until ROADMAP item 1 re-keys it
-        for _ in enumerate_matchings(gains.m):
-            pass
-        sums = matching_rates(snr.rho, gains.gains, pairs).sum(axis=-1)
-        n = gains.m
-        names = [f"({u // n + 1},{u % n + 1})" for u in range(n * n)]  # names[i*n + j]
-        pair_names = map(names.__getitem__, (pairs[..., 0] * n + pairs[..., 1]).ravel().tolist())
-        labels = list(map(",".join, zip(*[pair_names] * (n // 2))))  # K pair names each
-    keys = np.array(labels, dtype=bytes)  # ASCII, so bytes sort as the labels do
+    noma_sum = pairing_sum_rate(gains, near_far, snr).noma_sum  # checks rho*g
+    if not args.oracle:
+        return _write_table(args, ["policy", "sum_noma"], [(str(near_far), float(noma_sum))])
+    # drawn once for perfbench's matching counter, until ROADMAP item 1 re-keys it
+    for _ in enumerate_matchings(gains.m):
+        pass
+    n, k = gains.m, gains.m // 2
+    sums = matching_rates(snr.rho, gains.gains, pairs).sum(axis=-1)
+    code = pairs[..., 0] * n + pairs[..., 1]  # (P, K) pair numbers, i*n + j
+    names = np.array([f"({u // n + 1},{u % n + 1})" for u in range(n * n)], dtype=object)
+    # no pair name is a prefix of another, so labels compare as the text
+    # ranks of their K names do: K digits in base n*n, below 144**6 < 2**63
+    digits = np.argsort(np.argsort(names))[code] @ (n * n) ** np.arange(k - 1, -1, -1)
+    near = (pairs[..., 1] == np.arange(n - 1, k - 1, -1)).all(axis=-1)  # (i, n+1-i) each
     # descending sum rate; the near-far policy wins exact ties, then label order
-    order = np.lexsort((keys, keys != str(near_far).encode(), -sums))
-    rows = list(zip(map(labels.__getitem__, order.tolist()), sums[order].tolist()))
-    return _write_table(args, ["policy", "sum_noma"], rows)
+    order = np.lexsort((digits, ~near, -sums))
+    labels = map(",".join, names[code[order]].tolist())  # K pair names each
+    return _write_table(args, ["policy", "sum_noma"], list(zip(labels, sums[order].tolist())))
 
 
 def _snr_grid(start: float, stop: float, step: float) -> tuple:

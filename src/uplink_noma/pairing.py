@@ -5,13 +5,15 @@ running two-user NOMA on its own orthogonal resource with the optimal
 power split. The near-far policy pairs the weakest remaining user with the
 strongest remaining one; enumeration over all perfect matchings serves as
 the optimality oracle. `matching_array` builds every matching at once as one
-zero-based index array, and `enumerate_matchings` yields the same matchings
-as policies. Every matching is scored by one array kernel, `matching_rates`,
-which rates each pair once and gathers from that table.
+zero-based, read-only index array, once per process for each size, and
+`enumerate_matchings` yields the same matchings as policies. Every matching
+is scored by one array kernel, `matching_rates`, which rates each pair once
+and gathers from that table.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -80,7 +82,9 @@ def matching_array(n_users: int) -> np.ndarray:
     (P, n_users/2, 2) array for `matching_rates`, P = (n_users - 1)!!, each
     pair weaker user first. Rows are in recursive order: user 0 takes each
     partner in turn, and each is followed by the block over the users left.
-    n_users is capped at MAX_ENUMERATION_USERS.
+    n_users is capped at MAX_ENUMERATION_USERS. The array is built once per
+    process for each n_users and returned read-only, the same object on
+    every call; the argument is checked on every call.
     """
     if not (isinstance(n_users, (int, np.integer)) and n_users >= 2):
         raise ValidationError(f"n_users must be an integer >= 2, got {n_users!r}")
@@ -90,13 +94,19 @@ def matching_array(n_users: int) -> np.ndarray:
         raise ValidationError(
             f"enumeration is capped at {MAX_ENUMERATION_USERS} users, got {n_users}"
         )
+    return _matching_table(int(n_users))
+
+
+@functools.cache  # keyed by a checked Python int: at most 6 tables, 1 MB at n = 12
+def _matching_table(n_users: int) -> np.ndarray:
     match = np.zeros((1, 0, 2), dtype=np.intp)  # the one matching of no users
-    for n in range(2, int(n_users) + 1, 2):
+    for n in range(2, n_users + 1, 2):
         # row k: the users left, ascending, once user 0 takes partner k + 1
         left = np.arange(1, n - 1) + (np.arange(n - 2) >= np.arange(n - 1)[:, None])
         head = np.zeros((n - 1, len(match), 1, 2), dtype=np.intp)
         head[..., 1] = np.arange(1, n)[:, None, None]
         match = np.concatenate((head, left[:, match]), axis=2).reshape(-1, n // 2, 2)
+    match.setflags(write=False)
     return match
 
 

@@ -5,15 +5,23 @@ n users is a maximum-weight perfect matching on the complete graph whose
 edge weights are the pair sums. Edmonds' blossom algorithm (networkx) finds
 it in polynomial time without enumerating matchings and without knowing the
 near-far rule, which makes it an independent oracle for n far above
-`MAX_ENUMERATION_USERS`. Weights are compared, not pairs, because equal
-gains tie.
+`MAX_ENUMERATION_USERS`. A subset dynamic program over the same weights is
+a second optimum up to 20 users, where its 2^n table still fits. Weights are
+compared, not pairs, because equal gains tie.
 """
 
 import networkx as nx
 import numpy as np
 import pytest
 
-from uplink_noma import ChannelGains, TransmitSnr, near_far_policy, pairing_sum_rate
+from uplink_noma import (
+    ChannelGains,
+    TransmitSnr,
+    matching_array,
+    matching_rates,
+    near_far_policy,
+    pairing_sum_rate,
+)
 from uplink_noma.pairing import MAX_ENUMERATION_USERS
 
 
@@ -37,6 +45,27 @@ def _blossom_optimum(table):
     matching = nx.max_weight_matching(graph, maxcardinality=True)
     assert len(matching) == n // 2
     return sum(table[i, j] for i, j in matching)
+
+
+def _subset_dp_optimum(table):
+    """Best matching weight by a subset DP: f[mask] is the best, over the
+    partner j of the lowest user lo in mask, of w[lo, j] + f[mask - {lo, j}],
+    filled one popcount layer at a time. While a layer is filled its own
+    entries are still -inf, so a j outside the mask adds nothing."""
+    n = len(table)
+    masks = np.arange(1 << n)
+    sizes = np.bitwise_count(masks)
+    f = np.full(1 << n, -np.inf)
+    f[0] = 0.0
+    for size in range(2, n + 1, 2):
+        mask = masks[sizes == size]
+        low = mask & -mask
+        lo, rest = np.bitwise_count(low - 1), mask ^ low
+        best = np.full(len(mask), -np.inf)
+        for j in range(1, n):
+            np.maximum(best, table[lo, j] + f[rest ^ (1 << j)], out=best)
+        f[mask] = best
+    return f[-1]
 
 
 def _draw(n, seed):
@@ -67,3 +96,23 @@ def test_blossom_finds_a_better_pairing_than_adjacent_pairs():
     table = _pair_sums(TransmitSnr.from_db(10.0).rho, gains)
     adjacent = sum(table[i, i + 1] for i in range(0, 16, 2))
     assert adjacent < _blossom_optimum(table) * (1 - 1e-6)
+
+
+@pytest.mark.parametrize("n", range(2, MAX_ENUMERATION_USERS + 1, 2))
+def test_subset_dp_is_the_enumerations_best(n):
+    gains = _draw(n, 0)
+    rho = TransmitSnr.from_db(10.0).rho
+    best = matching_rates(rho, gains, matching_array(n)).sum(axis=-1).max()
+    assert _subset_dp_optimum(_pair_sums(rho, gains)) == pytest.approx(best, rel=1e-12, abs=0.0)
+
+
+# n = 20 alone takes about 0.25 s: the table has 2^20 entries
+DP_CASES = [(n, snr_db) for n in (14, 16, 18) for snr_db in (-10.0, 10.0, 30.0)] + [(20, 10.0)]
+
+
+@pytest.mark.parametrize("n, snr_db", DP_CASES)
+def test_near_far_sum_is_the_subset_dp_optimum(n, snr_db):
+    assert n > MAX_ENUMERATION_USERS
+    table = _pair_sums(TransmitSnr.from_db(snr_db).rho, _draw(n, 0))
+    near_far = sum(table[i, n - 1 - i] for i in range(n // 2))
+    assert near_far == pytest.approx(_subset_dp_optimum(table), rel=1e-12, abs=0.0)

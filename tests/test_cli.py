@@ -48,6 +48,9 @@ ORACLE_GAINS = {
     "12-equal": ["1"] * 12,
     "equal-pairs": "1 1 2 2 3 3 4 4".split(),
     "6-equal": ["1"] * 6,
+    # from 10 users on, label text order differs from numeric: "(1,10)" < "(1,2)"
+    "10-equal": ["1"] * 10,
+    "12-equal-pairs": [str(v) for v in range(1, 7) for _ in range(2)],
     **{
         f"draw-{seed}": [
             repr(g) for g in np.random.default_rng(seed).standard_exponential(12).tolist()
@@ -242,9 +245,10 @@ def _token_cells(tokens, nonempty=False):
 
 
 # cells the csv module quotes, doubles or special-cases, plus non-ASCII text
-_STRINGS = _token_cells([",", '"', "\r", "\n", "a", "(1,2)", " ", "é", "→"])
+# and the %-template's markers, which a cell must print as is
+_STRINGS = _token_cells([",", '"', "\r", "\n", "a", "(1,2)", " ", "é", "→", "%", "%s"])
 # the text a CSV table may hold: non-empty, with no quote, CR or LF
-_CSV_STRINGS = _token_cells([",", "a", "(1,2)", " ", "é", "→"], nonempty=True)
+_CSV_STRINGS = _token_cells([",", "a", "(1,2)", " ", "é", "→", "%", "%s"], nonempty=True)
 _CSV_TEXT = st.text(min_size=1).filter(lambda text: not set(text) & set('"\r\n'))
 _REALS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -2.5e-7]) | st.floats()
 _MAX_ROWS = 5
@@ -296,7 +300,7 @@ class TestRenderers:
         meta = {"mode": "two-user-sum"}
         assert cli._render_json(columns, rows, meta) == _row_wise_json(columns, rows, meta)
 
-    @pytest.mark.parametrize("cells", [["(1,2)", "x"], ["ünï,côdé"]])
+    @pytest.mark.parametrize("cells", [["(1,2)", "x"], ["ünï,côdé"], ["100%", "%s,%.9g"]])
     def test_string_columns_match_the_row_wise_renderer(self, cells):
         for columns in (["policy"], ["policy", "sum_noma"]):
             rows = [[cell, 1.5][: len(columns)] for cell in cells]

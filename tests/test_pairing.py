@@ -96,7 +96,16 @@ class TestEnumeration:
             validated = PairingPolicy(policy.pairs)
             assert policy == validated and str(policy) == str(validated)
 
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
+    def test_array_is_built_once_per_process_and_read_only(self, n):
+        pairs = matching_array(n)
+        assert matching_array(n) is pairs and matching_array(np.int64(n)) is pairs
+        with pytest.raises(ValueError):
+            pairs[0, 0, 0] = 1
+        assert FOUR_USER_PAIRS is matching_array(4)
+
     def test_rejects_odd_and_oversized(self):
+        matching_array(4)  # cached, so 4.0 (equal and of equal hash) must not find it
         for n, message in [
             (5, "n_users must be even, got 5"),
             (1, "n_users must be an integer >= 2, got 1"),
@@ -106,8 +115,9 @@ class TestEnumeration:
         ]:
             with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
                 list(enumerate_matchings(n))
-            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-                matching_array(n)
+            for _ in range(2):  # on every call, not only before a first success
+                with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                    matching_array(n)
 
 
 def _tuple_matchings(remaining):
