@@ -38,6 +38,7 @@ from .pairing import (
     matching_rates,
     near_far_policy,
     pair_indices,
+    pair_rates,
     pairing_sum_rate,
 )
 from .channel import sample_gain_rows, sample_rayleigh_gains
@@ -73,6 +74,7 @@ __all__ = [
     "matching_rates",
     "near_far_policy",
     "pair_indices",
+    "pair_rates",
     "pairing_sum_rate",
     "sample_gain_rows",
     "sample_rayleigh_gains",

@@ -49,8 +49,8 @@ SEED_ENV_VAR = "UPLINK_NOMA_SEED"
 MAX_GRID_POINTS = 100_000
 # largest `alloc --m`; a larger group exits 2 before its shares are allocated
 MAX_GROUP_SIZE = 100_000
-# most gains `pair` ranks without --oracle; more exit 2 before any is checked,
-# as the near-far rating holds a (gains, gains) table
+# most gains `pair` ranks without --oracle, a guard on the input's size alone
+# (the near-far rating holds only its K pairs); more exit 2 before any is checked
 MAX_PAIR_USERS = 4096
 
 # every option once, in --help order: dest -> (subcommands, default or
@@ -143,14 +143,9 @@ def _read_config(path: str, command: str) -> dict:
     return options
 
 
-def _fmt(value) -> str:
-    """Render one real with 9 significant digits."""
-    return format(float(value), ".9g")
-
-
 def _round9(value) -> float:
     """The float a 9-significant-digit rendering parses back to."""
-    return float(_fmt(value))
+    return float(format(float(value), ".9g"))
 
 
 def _resolve(args) -> None:
@@ -257,7 +252,7 @@ def cmd_pair(args) -> int:
     noma_sum = pairing_sum_rate(gains, near_far, snr).noma_sum  # checks rho*g
     if not args.oracle:
         return _write_table(args, ["policy", "sum_noma"], [(str(near_far), float(noma_sum))])
-    # drawn once for perfbench's matching counter, until ROADMAP item 1 re-keys it
+    # drawn once for perfbench's matching counter, until ROADMAP item 1b re-keys it
     for _ in enumerate_matchings(gains.m):
         pass
     n, k = gains.m, gains.m // 2

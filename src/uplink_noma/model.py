@@ -149,8 +149,9 @@ def check_received_snr(rho, gains) -> None:
     """Raise unless every rho*g, for rho and g positive numbers or arrays, is
     finite and normal (at least MIN_RECEIVED_SNR). The extreme products bound
     them all; Python floats overflow to inf without numpy's RuntimeWarning."""
-    lowest = float(np.min(rho)) * float(np.min(gains))
-    highest = float(np.max(rho)) * float(np.max(gains))
+    rho, gains = np.asarray(rho, dtype=float), np.asarray(gains, dtype=float)
+    lowest = float(rho.min()) * float(gains.min())
+    highest = float(rho.max()) * float(gains.max())
     if not (lowest >= MIN_RECEIVED_SNR and math.isfinite(highest)):
         raise ValidationError("rho*g must be positive, finite and normal")
 

@@ -6,9 +6,9 @@ power split. The near-far policy pairs the weakest remaining user with the
 strongest remaining one; enumeration over all perfect matchings serves as
 the optimality oracle. `matching_array` builds every matching at once as one
 zero-based, read-only index array, once per process for each size, and
-`enumerate_matchings` yields the same matchings as policies. Every matching
-is scored by one array kernel, `matching_rates`, which rates each pair once
-and gathers from that table.
+`enumerate_matchings` yields the same matchings as policies. Pairs are rated
+by one array kernel, `pair_rates`: a policy's own K pairs, or all n(n-1)/2
+once for `matching_rates`, which gathers every matching from that table.
 """
 
 from __future__ import annotations
@@ -125,25 +125,37 @@ def enumerate_matchings(n_users: int) -> Iterator[PairingPolicy]:
         yield policy
 
 
+def pair_rates(rho, gains, out=None):
+    """Per-user rates (..., 2) of two-user NOMA systems at the
+    `optimal_two_user` split (the one use of `m_user_shares(., 2)` with
+    `sic_rates`), without validation. `gains` is (..., 2), weaker user first;
+    `rho` broadcasts against gains[..., 0]. `out`, a float buffer of the
+    broadcast shape in any layout, takes rho*g_weak, then the shares, then
+    the rates, and is returned; without it, the rates go into a new
+    Fortran-ordered array, users leading in memory.
+    """
+    rho = np.asarray(rho, dtype=float)[..., None]
+    if out is None:
+        out = np.empty(np.broadcast_shapes(rho.shape, gains.shape), order="F")
+    np.multiply(rho[..., 0], gains[..., 0], out=out[..., 0])
+    m_user_shares(out[..., 0], 2, out=np.moveaxis(out, -1, 0))
+    return sic_rates(rho, out, gains, out=out)
+
+
 def matching_rates(rho, gains, pairs):
     """Per-user NOMA rates (..., P, n), in gain order, of P matchings of the
     n users along the last axis of `gains`, without validation.
 
     `pairs` is a zero-based (P, K, 2) index array, weaker user first, and
-    `rho` broadcasts against the leading axes of `gains`. Each pair used by
-    any matching is rated once as its own `optimal_two_user` system (one
-    `m_user_shares` and one `sic_rates` call) into a table R[..., u, v], the
-    rate of user u paired with v; each matching gathers from it by partner.
+    `rho` broadcasts against the leading axes of `gains`. Each of the
+    n(n-1)/2 pairs is rated once (`pair_rates`) into a table R[..., u, v],
+    the rate of user u paired with v; each matching gathers from it by partner.
     """
-    rho = np.asarray(rho, dtype=float)[..., None]
     n = gains.shape[-1]
-    used = np.zeros((n, n), dtype=bool)
-    used[pairs[..., 0], pairs[..., 1]] = True
-    weak, strong = np.nonzero(used)
-    g = np.stack((gains[..., weak], gains[..., strong]), axis=-1)
-    rates = sic_rates(rho[..., None], m_user_shares(rho * g[..., 0], 2), g)
+    every = np.transpose(np.triu_indices(n, 1))  # (n(n-1)/2, 2), weaker user first
+    rates = pair_rates(np.asarray(rho, dtype=float)[..., None], gains[..., every])
     table = np.zeros(rates.shape[:-2] + (n, n))
-    table[..., weak, strong], table[..., strong, weak] = rates[..., 0], rates[..., 1]
+    table[..., every, every[:, ::-1]] = rates  # R[u, v] and R[v, u] of each pair
     partner = np.empty((len(pairs), n), dtype=int)  # partner[p, u]: u's partner in matching p
     rows = np.arange(len(pairs))[:, None]
     partner[rows, pairs[..., 0]], partner[rows, pairs[..., 1]] = pairs[..., 1], pairs[..., 0]
@@ -159,15 +171,17 @@ def pairing_sum_rate(gains: ChannelGains, policy: PairingPolicy, snr: TransmitSn
     """Rates of a paired network, each pair optimally power loaded.
 
     Every pair is an isolated two-user NOMA system on its own resource with
-    the `optimal_two_user` split (`matching_rates` with one matching). The
-    OMA baseline gives each user half of its pair's resource.
+    the `optimal_two_user` split (`pair_rates` on the policy's K pairs, in
+    gain order). The OMA baseline gives each user half of its pair's resource.
     """
     check_received_snr(snr.rho, gains.gains)
     if policy.n_users != gains.m:
         raise DimensionError(
             f"policy covers {policy.n_users} users but {gains.m} gains given"
         )
-    noma = matching_rates(snr.rho, gains.gains, pair_indices([policy]))[0]
+    pairs = pair_indices([policy])[0]
+    noma = np.empty(gains.m)
+    noma[pairs] = pair_rates(snr.rho, gains.gains[pairs])
     oma = log2_1p(snr.rho * gains.gains) / 2
     return RateReport(noma, oma)
 

@@ -12,15 +12,15 @@ point's value does not depend on the rest of the grid. The points of one
 curve share their draws, so they move together from seed to seed; each
 point's mean and standard error are those of its own independent trials.
 Each mode's columns, group size and kernel live in one table, `MODES`,
-which `SweepConfig`, `run_sweep` and the CLI read; the four-user cases use
-`matching_rates`. A mode's kernel is set up once per sweep, on the draw:
-it allocates the (columns, trials) output block and any trials x users
-buffers then, every grid point overwrites them, and the reduce squares the
-deviations in the block itself. The sweep holds its draw and this workspace
-to its last point. A point still allocates row-length temporaries, numpy's
-copy of the rows `m_user_shares` subtracts overlapping, and in the
-four-user cases the tables of `matching_rates`. Each point's bits are those
-it would have alone.
+which `SweepConfig`, `run_sweep` and the CLI read; the two-user rates use
+`pair_rates` and the four-user cases `matching_rates`. A mode's kernel is
+set up once per sweep, on the draw: it allocates the (columns, trials)
+output block and any trials x users buffers then, every grid point
+overwrites them, and the reduce squares the deviations in the block itself.
+The sweep holds its draw and this workspace to its last point. A point
+still allocates row-length temporaries, numpy's copy of the rows
+`m_user_shares` subtracts overlapping, and in the four-user cases the
+tables of `matching_rates`. Each point's bits are those it would have alone.
 """
 
 from __future__ import annotations
@@ -32,11 +32,10 @@ import numpy as np
 
 from .model import (
     TransmitSnr, ValidationError, _row_sum_order, check_received_snr, group_sum_rate, log2_1p,
-    sic_rates,
 )
 from .allocation import m_user_shares
 from .channel import sample_gain_rows
-from .pairing import FOUR_USER_PAIRS, matching_rates
+from .pairing import FOUR_USER_PAIRS, matching_rates, pair_rates
 
 DEFAULT_SNR_DB = tuple(float(db) for db in range(-10, 31, 5))
 DEFAULT_TRIALS = 10_000
@@ -52,14 +51,13 @@ MAX_SWEEP_GAINS = 2**26
 
 def _two_user_rates(gains):
     """Point kernel into one C-contiguous (4, trials) block: the NOMA rates of
-    both users at the optimal split, then their OMA rates. Each point writes
-    rho*g1 into an OMA row, the shares over the NOMA rows, and then the SIC
-    rates over the shares, so the block is the point's only buffer."""
+    both users at the optimal split, then their OMA rates. `pair_rates` writes
+    rho*g1, the shares and then the SIC rates over the NOMA rows, so the
+    block is the point's only buffer."""
     block = np.empty((4, len(gains)))
 
     def point(rho):
-        x = np.multiply(rho, gains[:, 0], out=block[2])
-        sic_rates(rho, m_user_shares(x, 2, out=block[:2]), gains, out=block[:2].T)
+        pair_rates(rho, gains, out=block[:2].T)
         oma = log2_1p(np.multiply(rho, gains.T, out=block[2:]), out=block[2:])
         oma *= 0.5
         return block

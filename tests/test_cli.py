@@ -27,6 +27,7 @@ from uplink_noma import (
     matching_array,
     matching_rates,
     near_far_policy,
+    pairing_sum_rate,
 )
 from uplink_noma.allocation import InfeasibleIntervalError
 from uplink_noma.cli import main
@@ -772,6 +773,17 @@ class TestExitCodes:
             f"error: --gains of {cli.MAX_PAIR_USERS + 2} values exceeds "
             f"{cli.MAX_PAIR_USERS} users\n"
         )
+
+    def test_pair_at_the_user_cap_is_one_near_far_row(self, capsys):
+        n = cli.MAX_PAIR_USERS
+        code, out, err = _run(capsys, "pair", "--gains", *map(str, range(1, n + 1)), "--snr-db", "10")
+        assert (code, err) == (0, "")
+        header, rows = _parse_csv(out)
+        report = pairing_sum_rate(
+            ChannelGains(np.arange(1.0, n + 1)), near_far_policy(n // 2), TransmitSnr(10.0)
+        )
+        assert header == ["policy", "sum_noma"]
+        assert rows == [[str(near_far_policy(n // 2)), format(report.noma_sum, ".9g")]]
 
     def test_config_that_is_not_utf8_is_one_error_line(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from uplink_noma import (
     oma_rates,
     optimal_two_user,
     pair_indices,
+    pair_rates,
     pairing_sum_rate,
 )
 
@@ -131,6 +133,41 @@ def _tuple_matchings(remaining):
         rest = remaining[1:idx] + remaining[idx + 1 :]
         for tail in _tuple_matchings(rest):
             yield ((first, remaining[idx]),) + tail
+
+
+class TestPairRates:
+    def test_gives_each_pairs_own_two_user_rates(self):
+        batch = np.sort(np.random.default_rng(9).standard_exponential((40, 2)), axis=1)
+        for rho in (1e-3, 10.0, 1e5):
+            snr = TransmitSnr(rho)
+            rates = pair_rates(rho, batch)
+            assert rates.shape == (40, 2)
+            for pair, row in zip(batch, rates):
+                alloc = optimal_two_user(snr, pair[0])
+                assert np.array_equal(row, noma_rates(ChannelGains(pair), alloc, snr))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_out_gives_the_same_bits_in_the_buffer(self, order):
+        batch = np.sort(np.random.default_rng(10).standard_exponential((3, 50, 2)), axis=-1)
+        rho = np.array([0.1, 10.0, 1e3])[:, None]
+        out = np.full(batch.shape, np.nan, order=order)
+        rates = pair_rates(rho, batch, out=out)
+        assert np.shares_memory(rates, out)
+        assert np.array_equal(out, pair_rates(rho, batch))
+
+    def test_a_near_far_network_allocates_no_gains_by_gains_table(self):
+        # an (n, n) mask and rate table would take about 36,900 bytes a gain
+        n = 4096
+        gains = ChannelGains(np.sort(np.random.default_rng(11).standard_exponential(n)))
+        policy = near_far_policy(n // 2)
+        pairing_sum_rate(gains, policy, SNR10)  # numpy's first-call caches
+        tracemalloc.start()
+        try:
+            pairing_sum_rate(gains, policy, SNR10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 256 * n
 
 
 class TestPairingSumRate:
