@@ -168,22 +168,22 @@ def _resolve(args) -> None:
         setattr(args, dest, value)
 
 
-def _quote_minimal(cell: str) -> str:
-    return f'"{cell}"' if "," in cell else cell
+def _quote_minimal(cells) -> list:
+    """CSV text cells quoted as QUOTE_MINIMAL quotes them (see the module docstring)."""
+    return [f'"{cell}"' if "," in cell else cell for cell in cells]
 
 
 def _render_csv(columns, rows) -> str:
     # the body is one %-template filled from the flat cells in one call; each
-    # text column is quoted (QUOTE_MINIMAL, see the module docstring) through
-    # one strided slice of them
-    header = ",".join(map(_quote_minimal, columns)) + "\n"
+    # text column is quoted through one strided slice of them
+    header = ",".join(_quote_minimal(columns)) + "\n"
     if not rows:
         return header
     text = [isinstance(cell, str) for cell in rows[0]]
     flat = [cell for row in rows for cell in row]
     for column, is_text in enumerate(text):
         if is_text:
-            flat[column :: len(text)] = map(_quote_minimal, flat[column :: len(text)])
+            flat[column :: len(text)] = _quote_minimal(flat[column :: len(text)])
     line = ",".join("%s" if is_text else "%.9g" for is_text in text) + "\n"
     return header + (line * len(rows)) % tuple(flat)
 
@@ -252,7 +252,8 @@ def cmd_pair(args) -> int:
     noma_sum = pairing_sum_rate(gains, near_far, snr).noma_sum  # checks rho*g
     if not args.oracle:
         return _write_table(args, ["policy", "sum_noma"], [(str(near_far), float(noma_sum))])
-    # drawn once for perfbench's matching counter, until ROADMAP item 1b re-keys it
+    # drawn once for perfbench's matching counter, about a fifth of the op,
+    # until ROADMAP item 12 deletes the drain
     for _ in enumerate_matchings(gains.m):
         pass
     n, k = gains.m, gains.m // 2
@@ -265,7 +266,8 @@ def cmd_pair(args) -> int:
     near = (pairs[..., 1] == np.arange(n - 1, k - 1, -1)).all(axis=-1)  # (i, n+1-i) each
     # descending sum rate; the near-far policy wins exact ties, then label order
     order = np.lexsort((digits, ~near, -sums))
-    labels = map(",".join, names[code[order]].tolist())  # K pair names each
+    cells = iter(names[code[order]].ravel().tolist())
+    labels = map(",".join, zip(*[cells] * k))  # K pair names each
     return _write_table(args, ["policy", "sum_noma"], list(zip(labels, sums[order].tolist())))
 
 

@@ -117,11 +117,13 @@ def enumerate_matchings(n_users: int) -> Iterator[PairingPolicy]:
     """
     match = matching_array(n_users)
     n = int(n_users)
-    pair = [(u // n + 1, u % n + 1) for u in range(n * n)]  # pair[i*n + j] is (i+1, j+1)
-    pairs = map(pair.__getitem__, (match[..., 0] * n + match[..., 1]).ravel().tolist())
+    pair = np.empty(n * n, dtype=object)  # pair[i*n + j] is (i+1, j+1)
+    pair[:] = [(u // n + 1, u % n + 1) for u in range(n * n)]
+    pairs = iter(pair[match[..., 0] * n + match[..., 1]].ravel().tolist())
+    new, put = object.__new__, object.__setattr__
     for row in zip(*[pairs] * (n // 2)):  # K pairs at a time
-        policy = object.__new__(PairingPolicy)
-        object.__setattr__(policy, "pairs", row)
+        policy = new(PairingPolicy)
+        put(policy, "pairs", row)
         yield policy
 
 

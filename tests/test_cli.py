@@ -3,6 +3,8 @@
 import contextlib
 import csv
 import decimal
+import functools
+import gc
 import io
 import json
 import os
@@ -10,6 +12,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from decimal import Decimal
 
 import numpy as np
@@ -19,6 +22,7 @@ from hypothesis import strategies as st
 
 import uplink_noma.allocation as allocation
 import uplink_noma.cli as cli
+import uplink_noma.pairing as pairing
 import uplink_noma.sim as sim
 from uplink_noma import (
     ChannelGains,
@@ -206,6 +210,56 @@ class TestPair:
         gains = [str(v) for v in np.linspace(0.1, 2.0, n)]
         code, out, err = _run(capsys, "pair", "--gains", *gains, "--snr-db", "10", "--oracle")
         assert (code, out, err) == (2, "", f"error: enumeration is capped at 12 users, got {n}\n")
+
+
+def _clear_matching_table(monkeypatch):
+    """Swap the one cache `pair --oracle` builds per gain count, the matching
+    array, for an empty one, as a fresh process has; monkeypatch puts the
+    warm one back."""
+    table = functools.cache(pairing._matching_table.__wrapped__)
+    monkeypatch.setattr(pairing, "_matching_table", table)
+
+
+def _kept_by(call):
+    """Bytes still allocated after call() returns and garbage is collected."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        call()
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - held
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestOracleColdAndWarm:
+    @pytest.mark.parametrize(
+        "gains",
+        [[repr(g) for g in np.random.default_rng(n).standard_exponential(n).tolist()]
+         for n in range(2, 13, 2)] + list(ORACLE_GAINS.values()),
+        ids=[f"draw-{n}-users" for n in range(2, 13, 2)] + list(ORACLE_GAINS),
+    )
+    def test_output_is_the_same_warm_and_cold(self, capsys, monkeypatch, gains):
+        argv = ["pair", "--gains", *gains, "--snr-db", "10", "--oracle"]
+        warm = _run(capsys, *argv)
+        _clear_matching_table(monkeypatch)
+        assert _run(capsys, *argv) == warm  # builds the matching array
+        assert _run(capsys, *argv) == warm  # reads the one it built
+
+    def test_a_call_keeps_only_the_matching_array(self, capsys, monkeypatch):
+        # everything else an oracle call builds, labels and policies
+        # included, is freed when it returns
+        gains = [repr(g) for g in np.random.default_rng(12).standard_exponential(12).tolist()]
+        argv = ["pair", "--gains", *gains, "--snr-db", "10", "--oracle"]
+        _clear_matching_table(monkeypatch)
+        cold = _kept_by(lambda: _run(capsys, *argv))
+        warm = _kept_by(lambda: _run(capsys, *argv))
+        assert cold <= matching_array(12).nbytes + 64_000
+        assert warm <= 64_000
 
 
 def _row_wise_csv(columns, rows):

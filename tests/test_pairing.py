@@ -1,5 +1,6 @@
 """Pairing tests: policies, enumeration oracle, case ordering, gap limits."""
 
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -105,6 +106,13 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             pairs[0, 0, 0] = 1
         assert FOUR_USER_PAIRS is matching_array(4)
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
+    def test_enumerated_policies_are_frozen(self, n):
+        # built without __init__, they must still refuse assignment
+        policy = next(enumerate_matchings(n))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            policy.pairs = near_far_policy(n // 2).pairs
 
     def test_rejects_odd_and_oversized(self):
         matching_array(4)  # cached, so 4.0 (equal and of equal hash) must not find it
