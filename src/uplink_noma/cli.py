@@ -6,19 +6,22 @@ reads a finished, typed namespace.
 
 All SNR flags take dB values and are converted internally via
 rho = 10^(dB/10). Every numeric output is rendered with 9 significant
-digits, identically in CSV and JSON. CSV text (matching labels and column
-names) is never empty and holds no quote, CR or LF, so a cell is quoted
-just when it holds a comma, as csv's QUOTE_MINIMAL does. The CSV body is
-one %-template, "%s" per text cell and "%.9g" per real, filled in one
-format call; cells are its arguments, never part of it, so a literal "%" in
-a cell prints as is. File output is written to a temporary file in the
-target directory and renamed into place.
+digits, identically in CSV and JSON. Handlers pass each table as columns
+and build no rows. CSV text (matching labels and column names) is never
+empty and holds no quote, CR or LF, so a cell is quoted just when it holds a
+comma, as csv's QUOTE_MINIMAL does. The CSV body is one %-template, "%.9g"
+per real, '"%s"' per text column with a comma in every cell (the labels)
+and "%s" per other text column, quoted cell by cell; it is filled in one
+format call from the cells read row by row. Cells are its arguments, never
+part of it, so a literal "%" in a cell prints as is. File output is written
+to a temporary file in the target directory and renamed into place.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -173,26 +176,23 @@ def _quote_minimal(cells) -> list:
     return [f'"{cell}"' if "," in cell else cell for cell in cells]
 
 
-def _render_csv(columns, rows) -> str:
-    # the body is one %-template filled from the flat cells in one call; each
-    # text column is quoted through one strided slice of them
-    header = ",".join(_quote_minimal(columns)) + "\n"
-    if not rows:
+def _render_csv(names, *columns) -> str:
+    # zip reads the cells a row at a time, so no row outlives its read
+    header = ",".join(_quote_minimal(names)) + "\n"
+    if not columns:
         return header
-    text = [isinstance(cell, str) for cell in rows[0]]
-    flat = [cell for row in rows for cell in row]
-    for column, is_text in enumerate(text):
-        if is_text:
-            flat[column :: len(text)] = _quote_minimal(flat[column :: len(text)])
-    line = ",".join("%s" if is_text else "%.9g" for is_text in text) + "\n"
-    return header + (line * len(rows)) % tuple(flat)
+    slots = ["%.9g" if not isinstance(c[0], str) else '"%s"' if all("," in x for x in c) else "%s"
+             for c in columns]
+    cells = [_quote_minimal(c) if slot == "%s" else c for slot, c in zip(slots, columns)]
+    line = ",".join(slots) + "\n"
+    return header + (line * len(columns[0])) % tuple(itertools.chain.from_iterable(zip(*cells)))
 
 
-def _render_json(columns, rows, meta: dict | None = None) -> str:
+def _render_json(names, *columns, meta: dict | None = None) -> str:
     payload = dict(meta or {})
-    payload["columns"] = list(columns)
-    cells = [c if isinstance(c[0], str) else list(map(_round9, c)) for c in zip(*rows)]
-    payload["rows"] = [dict(zip(columns, row)) for row in zip(*cells)]
+    payload["columns"] = list(names)
+    cells = [c if isinstance(c[0], str) else list(map(_round9, c)) for c in columns]
+    payload["rows"] = [dict(zip(names, row)) for row in zip(*cells)]
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -217,10 +217,11 @@ def _emit(text: str, path: str | None) -> None:
         raise OSError(f"cannot write output file {path!r}: {exc.strerror}") from exc
 
 
-def _write_table(args, columns, rows, meta: dict | None = None) -> int:
-    """Render the table in the requested format and emit it; exit code 0."""
+def _write_table(args, names, columns, meta: dict | None = None) -> int:
+    """Render the table's columns in the requested format and emit it; exit code 0."""
     as_csv = args.format == "csv"
-    _emit(_render_csv(columns, rows) if as_csv else _render_json(columns, rows, meta), args.output)
+    text = _render_csv(names, *columns) if as_csv else _render_json(names, *columns, meta=meta)
+    _emit(text, args.output)
     return 0
 
 
@@ -234,9 +235,9 @@ def cmd_alloc(args) -> int:
     r1 = float(log2_1p(snr.rho * alloc.alphas[0] * g1))
     o1 = float(log2_1p(snr.rho * g1)) / m
     residual = (r1 - o1) / o1
-    columns = [f"alpha_{i}" for i in range(1, m + 1)] + ["weak_rate_check"]
-    rows = [list(alloc.alphas) + [residual]]
-    return _write_table(args, columns, rows)
+    names = [f"alpha_{i}" for i in range(1, m + 1)] + ["weak_rate_check"]
+    # one-cell columns, as 1-tuples: the collector untracks those, not lists
+    return _write_table(args, names, list(zip([*alloc.alphas.tolist(), residual])))
 
 
 def cmd_pair(args) -> int:
@@ -251,7 +252,7 @@ def cmd_pair(args) -> int:
     pairs = matching_array(gains.m) if args.oracle else None  # its cap, before rho*g
     noma_sum = pairing_sum_rate(gains, near_far, snr).noma_sum  # checks rho*g
     if not args.oracle:
-        return _write_table(args, ["policy", "sum_noma"], [(str(near_far), float(noma_sum))])
+        return _write_table(args, ["policy", "sum_noma"], [[str(near_far)], [float(noma_sum)]])
     # drawn once for perfbench's matching counter, about a fifth of the op,
     # until ROADMAP item 12 deletes the drain
     for _ in enumerate_matchings(gains.m):
@@ -267,8 +268,8 @@ def cmd_pair(args) -> int:
     # descending sum rate; the near-far policy wins exact ties, then label order
     order = np.lexsort((digits, ~near, -sums))
     cells = iter(names[code[order]].ravel().tolist())
-    labels = map(",".join, zip(*[cells] * k))  # K pair names each
-    return _write_table(args, ["policy", "sum_noma"], list(zip(labels, sums[order].tolist())))
+    labels = list(map(",".join, zip(*[cells] * k)))  # K pair names each
+    return _write_table(args, ["policy", "sum_noma"], [labels, sums[order].tolist()])
 
 
 def _snr_grid(start: float, stop: float, step: float) -> tuple:
@@ -297,10 +298,11 @@ def cmd_sweep(args) -> int:
         seed=args.seed,
     )
     result = run_sweep(sweep)
-    columns = ["snr_db", *result.series, *(f"{name}_stderr" for name in result.series)]
-    rows = list(zip(result.snr_db, *result.series.values(), *result.stderr.values()))
+    names = ["snr_db", *result.series, *(f"{name}_stderr" for name in result.series)]
+    arrays = (result.snr_db, *result.series.values(), *result.stderr.values())
+    columns = [array.tolist() for array in arrays]
     meta = {"mode": sweep.mode, "users": sweep.users, "trials": sweep.trials, "seed": sweep.seed}
-    return _write_table(args, columns, rows, meta)
+    return _write_table(args, names, columns, meta)
 
 
 # subcommand -> (handler, --help line), for both the parser and the dispatch
