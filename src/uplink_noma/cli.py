@@ -9,19 +9,18 @@ rho = 10^(dB/10). Every numeric output is rendered with 9 significant
 digits, identically in CSV and JSON. Handlers pass each table as columns
 and build no rows. CSV text (matching labels and column names) is never
 empty and holds no quote, CR or LF, so a cell is quoted just when it holds a
-comma, as csv's QUOTE_MINIMAL does. The CSV body is one %-template, "%.9g"
-per real, '"%s"' per text column with a comma in every cell (the labels)
-and "%s" per other text column, quoted cell by cell; it is filled in one
-format call from the cells read row by row. Cells are its arguments, never
-part of it, so a literal "%" in a cell prints as is. File output is written
-to a temporary file in the target directory and renamed into place.
+comma, as csv's QUOTE_MINIMAL does. The CSV body is one %-template, "%s"
+per text cell and "%.9g" per real, filled in one format call; each column
+is written into its own stride of one flat cell list. Cells are its
+arguments, never part of it, so a literal "%" in a cell prints as is. File
+output is written to a temporary file in the target directory and renamed
+into place.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import os
@@ -177,22 +176,25 @@ def _quote_minimal(cells) -> list:
 
 
 def _render_csv(names, *columns) -> str:
-    # zip reads the cells a row at a time, so no row outlives its read
     header = ",".join(_quote_minimal(names)) + "\n"
     if not columns:
         return header
-    slots = ["%.9g" if not isinstance(c[0], str) else '"%s"' if all("," in x for x in c) else "%s"
-             for c in columns]
-    cells = [_quote_minimal(c) if slot == "%s" else c for slot, c in zip(slots, columns)]
-    line = ",".join(slots) + "\n"
-    return header + (line * len(columns[0])) % tuple(itertools.chain.from_iterable(zip(*cells)))
+    text = [isinstance(c[0], str) for c in columns]
+    width = len(columns)
+    flat = [None] * (width * len(columns[0]))
+    for i, (is_text, column) in enumerate(zip(text, columns)):
+        flat[i::width] = _quote_minimal(column) if is_text else column
+    line = ",".join(["%s" if is_text else "%.9g" for is_text in text]) + "\n"
+    return header + (line * len(columns[0])) % tuple(flat)
 
 
 def _render_json(names, *columns, meta: dict | None = None) -> str:
+    # each row is read across the columns by index: no per-column copy is made
     payload = dict(meta or {})
     payload["columns"] = list(names)
-    cells = [c if isinstance(c[0], str) else list(map(_round9, c)) for c in columns]
-    payload["rows"] = [dict(zip(names, row)) for row in zip(*cells)]
+    text = [isinstance(c[0], str) for c in columns]
+    payload["rows"] = [{n: c[r] if t else _round9(c[r]) for n, t, c in zip(names, text, columns)}
+                       for r in range(len(columns[0]) if columns else 0)]
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -236,7 +238,7 @@ def cmd_alloc(args) -> int:
     o1 = float(log2_1p(snr.rho * g1)) / m
     residual = (r1 - o1) / o1
     names = [f"alpha_{i}" for i in range(1, m + 1)] + ["weak_rate_check"]
-    # one-cell columns, as 1-tuples: the collector untracks those, not lists
+    # one-cell columns, as 1-tuples: the cheapest sequence to build m + 1 of
     return _write_table(args, names, list(zip([*alloc.alphas.tolist(), residual])))
 
 
