@@ -35,7 +35,7 @@ from .pairing import (
     enumerate_matchings,
     four_user_cases,
     matching_array,
-    matching_rates,
+    matching_sums,
     near_far_policy,
     pair_indices,
     pair_rates,
@@ -71,7 +71,7 @@ __all__ = [
     "enumerate_matchings",
     "four_user_cases",
     "matching_array",
-    "matching_rates",
+    "matching_sums",
     "near_far_policy",
     "pair_indices",
     "pair_rates",

@@ -34,7 +34,7 @@ from .allocation import InfeasibleIntervalError, optimal_m_user
 from .pairing import (
     enumerate_matchings,
     matching_array,
-    matching_rates,
+    matching_sums,
     near_far_policy,
     pairing_sum_rate,
 )
@@ -260,15 +260,14 @@ def cmd_pair(args) -> int:
     for _ in enumerate_matchings(gains.m):
         pass
     n, k = gains.m, gains.m // 2
-    sums = matching_rates(snr.rho, gains.gains, pairs).sum(axis=-1)
+    sums = matching_sums(snr.rho, gains.gains, pairs)
     code = pairs[..., 0] * n + pairs[..., 1]  # (P, K) pair numbers, i*n + j
     names = np.array([f"({u // n + 1},{u % n + 1})" for u in range(n * n)], dtype=object)
     # no pair name is a prefix of another, so labels compare as the text
     # ranks of their K names do: K digits in base n*n, below 144**6 < 2**63
     digits = np.argsort(np.argsort(names))[code] @ (n * n) ** np.arange(k - 1, -1, -1)
-    near = (pairs[..., 1] == np.arange(n - 1, k - 1, -1)).all(axis=-1)  # (i, n+1-i) each
-    # descending sum rate; the near-far policy wins exact ties, then label order
-    order = np.lexsort((digits, ~near, -sums))
+    digits[-1] = -1  # the near-far matching, matching_array's last row, wins exact ties
+    order = np.lexsort((digits, -sums))  # descending sum rate, then label order
     cells = iter(names[code[order]].ravel().tolist())
     labels = list(map(",".join, zip(*[cells] * k)))  # K pair names each
     return _write_table(args, ["policy", "sum_noma"], [labels, sums[order].tolist()])

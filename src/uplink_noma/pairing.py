@@ -8,7 +8,7 @@ the optimality oracle. `matching_array` builds every matching at once as one
 zero-based, read-only index array, once per process for each size, and
 `enumerate_matchings` yields the same matchings as policies. Pairs are rated
 by one array kernel, `pair_rates`: a policy's own K pairs, or all n(n-1)/2
-once for `matching_rates`, which gathers every matching from that table.
+once for `matching_sums`, which adds each matching's K pair sums in pair order.
 """
 
 from __future__ import annotations
@@ -79,12 +79,12 @@ def near_far_policy(k: int) -> PairingPolicy:
 
 def matching_array(n_users: int) -> np.ndarray:
     """Every perfect matching of users 0..n_users-1 as one zero-based
-    (P, n_users/2, 2) array for `matching_rates`, P = (n_users - 1)!!, each
+    (P, n_users/2, 2) array for `matching_sums`, P = (n_users - 1)!!, each
     pair weaker user first. Rows are in recursive order: user 0 takes each
-    partner in turn, and each is followed by the block over the users left.
-    n_users is capped at MAX_ENUMERATION_USERS. The array is built once per
-    process for each n_users and returned read-only, the same object on
-    every call; the argument is checked on every call.
+    partner in turn, each followed by the block over the users left, so the
+    last row is near-far. n_users is capped at MAX_ENUMERATION_USERS. The
+    array is built once per process for each n_users and returned read-only,
+    the same object on every call; the argument is checked on every call.
     """
     if not (isinstance(n_users, (int, np.integer)) and n_users >= 2):
         raise ValidationError(f"n_users must be an integer >= 2, got {n_users!r}")
@@ -144,28 +144,29 @@ def pair_rates(rho, gains, out=None):
     return sic_rates(rho, out, gains, out=out)
 
 
-def matching_rates(rho, gains, pairs):
-    """Per-user NOMA rates (..., P, n), in gain order, of P matchings of the
-    n users along the last axis of `gains`, without validation.
+def matching_sums(rho, gains, pairs):
+    """NOMA sum rates (..., P) of P matchings of the n users along the last
+    axis of `gains`, without validation.
 
     `pairs` is a zero-based (P, K, 2) index array, weaker user first, and
     `rho` broadcasts against the leading axes of `gains`. Each of the
-    n(n-1)/2 pairs is rated once (`pair_rates`) into a table R[..., u, v],
-    the rate of user u paired with v; each matching gathers from it by partner.
+    n(n-1)/2 pairs is rated once (`pair_rates`) into a table of pair sums;
+    a matching adds its K pair sums in pair order, so equal gains tie exactly.
     """
     n = gains.shape[-1]
     every = np.transpose(np.triu_indices(n, 1))  # (n(n-1)/2, 2), weaker user first
     rates = pair_rates(np.asarray(rho, dtype=float)[..., None], gains[..., every])
-    table = np.zeros(rates.shape[:-2] + (n, n))
-    table[..., every, every[:, ::-1]] = rates  # R[u, v] and R[v, u] of each pair
-    partner = np.empty((len(pairs), n), dtype=int)  # partner[p, u]: u's partner in matching p
-    rows = np.arange(len(pairs))[:, None]
-    partner[rows, pairs[..., 0]], partner[rows, pairs[..., 1]] = pairs[..., 1], pairs[..., 0]
-    return table[..., np.arange(n), partner]
+    table = rates[..., 0] + rates[..., 1]  # pair sums, in `every` order
+    weak, strong = pairs[..., 0], pairs[..., 1]
+    slot = weak * (2 * n - 3 - weak) // 2 + strong - 1  # (P, K) rows of `every`
+    sums = table[..., slot[:, 0]]
+    for k in range(1, slot.shape[1]):
+        sums += table[..., slot[:, k]]
+    return sums
 
 
 def pair_indices(policies) -> np.ndarray:
-    """Zero-based (P, K, 2) pair array of the policies, for `matching_rates`."""
+    """Zero-based (P, K, 2) pair array of the policies, for `matching_sums`."""
     return np.array([policy.pairs for policy in policies]) - 1
 
 
@@ -207,7 +208,7 @@ def four_user_cases(gains: ChannelGains, snr: TransmitSnr) -> FourUserCases:
     if gains.m != 4:
         raise DimensionError(f"four_user_cases needs exactly 4 gains, got {gains.m}")
     check_received_snr(snr.rho, gains.gains)
-    sums = matching_rates(snr.rho, gains.gains, FOUR_USER_PAIRS).sum(axis=-1)
+    sums = matching_sums(snr.rho, gains.gains, FOUR_USER_PAIRS)
     return FourUserCases(*sums.tolist())
 
 
@@ -244,7 +245,7 @@ def case_gap_monotonicity(gains: ChannelGains, rho_grid: Sequence[float]) -> Cas
     if np.any(np.diff(grid) <= 0.0):
         raise ValidationError("rho_grid must be strictly ascending")
     check_received_snr(grid, gains.gains)
-    sums = matching_rates(grid, gains.gains, FOUR_USER_PAIRS).sum(axis=-1)
+    sums = matching_sums(grid, gains.gains, FOUR_USER_PAIRS)
     gaps = sums[:, 1] - sums[:, 0]
     nondecreasing = bool(np.all(np.diff(gaps) >= -GAP_STEP_TOL))
     limit = math.log2(gains.gains[2] / gains.gains[1])

@@ -13,14 +13,14 @@ curve share their draws, so they move together from seed to seed; each
 point's mean and standard error are those of its own independent trials.
 Each mode's columns, group size and kernel live in one table, `MODES`,
 which `SweepConfig`, `run_sweep` and the CLI read; the two-user rates use
-`pair_rates` and the four-user cases `matching_rates`. A mode's kernel is
+`pair_rates` and the four-user cases `matching_sums`. A mode's kernel is
 set up once per sweep, on the draw: it allocates the (columns, trials)
 output block and any trials x users buffers then, every grid point
 overwrites them, and the reduce squares the deviations in the block itself.
 The sweep holds its draw and this workspace to its last point. A point
 still allocates row-length temporaries, numpy's copy of the rows
-`m_user_shares` subtracts overlapping, and in the four-user cases the
-tables of `matching_rates`. Each point's bits are those it would have alone.
+`m_user_shares` subtracts overlapping, and in the four-user cases the pair
+rates and sums of `matching_sums`. Each point's bits are those it would have alone.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .model import (
 )
 from .allocation import m_user_shares
 from .channel import sample_gain_rows
-from .pairing import FOUR_USER_PAIRS, matching_rates, pair_rates
+from .pairing import FOUR_USER_PAIRS, matching_sums, pair_rates
 
 DEFAULT_SNR_DB = tuple(float(db) for db in range(-10, 31, 5))
 DEFAULT_TRIALS = 10_000
@@ -94,7 +94,7 @@ def _four_user_sums(gains):
     block = np.empty((3, len(gains)))
 
     def point(rho):
-        np.sum(matching_rates(rho, gains, FOUR_USER_PAIRS), axis=-1, out=block.T)
+        block.T[...] = matching_sums(rho, gains, FOUR_USER_PAIRS)
         return block
 
     return point

@@ -18,7 +18,7 @@ from uplink_noma import (
     ChannelGains,
     TransmitSnr,
     matching_array,
-    matching_rates,
+    matching_sums,
     near_far_policy,
     pairing_sum_rate,
 )
@@ -102,7 +102,7 @@ def test_blossom_finds_a_better_pairing_than_adjacent_pairs():
 def test_subset_dp_is_the_enumerations_best(n):
     gains = _draw(n, 0)
     rho = TransmitSnr.from_db(10.0).rho
-    best = matching_rates(rho, gains, matching_array(n)).sum(axis=-1).max()
+    best = matching_sums(rho, gains, matching_array(n)).max()
     assert _subset_dp_optimum(_pair_sums(rho, gains)) == pytest.approx(best, rel=1e-12, abs=0.0)
 
 

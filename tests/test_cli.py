@@ -29,7 +29,7 @@ from uplink_noma import (
     TransmitSnr,
     enumerate_matchings,
     matching_array,
-    matching_rates,
+    matching_sums,
     near_far_policy,
     pairing_sum_rate,
 )
@@ -161,7 +161,7 @@ class TestPair:
         values = ChannelGains(np.sort(np.array(gains, dtype=float)))
         snr = TransmitSnr.from_db(10.0)
         near_far = near_far_policy(values.m // 2)
-        sums = matching_rates(snr.rho, values.gains, matching_array(values.m)).sum(-1)
+        sums = matching_sums(snr.rho, values.gains, matching_array(values.m))
         scored = sorted(
             zip(sums.tolist(), enumerate_matchings(values.m)),
             key=lambda s: (-s[0], s[1] != near_far, str(s[1])),
@@ -174,12 +174,25 @@ class TestPair:
         _, out, _ = _run(capsys, *argv, "--format", "json")
         assert json.loads(out)["rows"] == json_rows
 
+    @pytest.mark.parametrize("n", range(2, 13, 2))
+    def test_equal_gains_tie_exactly_with_near_far_first(self, capsys, n):
+        # every matching sums the same K pair sums, so all tie exactly
+        # (TestMatchingSums checks the floats); the near-far policy leads and
+        # the rest follow in label byte order
+        code, out, _ = _run(capsys, "pair", "--gains", *["1"] * n, "--snr-db", "10", "--oracle")
+        assert code == 0
+        rows = _parse_csv(out)[1]
+        assert len(rows) == len(matching_array(n)) and len({value for _, value in rows}) == 1
+        labels = [label for label, _ in rows]
+        assert labels[0] == str(near_far_policy(n // 2))
+        assert labels[1:] == sorted(labels[1:], key=str.encode)
+
     @pytest.mark.parametrize("gains", list(ORACLE_GAINS.values()), ids=list(ORACLE_GAINS))
     def test_oracle_sums_match_the_two_user_closed_form(self, gains):
         values = np.sort(np.array(gains, dtype=float))
         rho = TransmitSnr.from_db(10.0).rho
         pairs = matching_array(values.size)
-        sums = matching_rates(rho, values, pairs).sum(-1)
+        sums = matching_sums(rho, values, pairs)
         reference = _closed_form_sums(rho, values.tolist(), pairs.tolist())
         assert np.all(np.abs(sums - reference) <= 1e-12 * reference)
 

@@ -124,7 +124,7 @@ GOLDEN = {
     "pair-oracle-6-ties": (
         ["pair", "--gains", "1", "1", "1", "1", "1", "1", "--snr-db", "10", "--oracle"],
         0,
-        "b1443662fcfbe3d56acff477173eb1893d077d253f1cfaac9c58bbf91db880d7",
+        "755e6f5fa9d7d91059204969b61c9422a6cfe80e3c12dab25791d1080c5a125a",
         EMPTY,
     ),
     "pair-oracle-400-db": (

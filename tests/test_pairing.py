@@ -20,7 +20,7 @@ from uplink_noma import (
     enumerate_matchings,
     four_user_cases,
     matching_array,
-    matching_rates,
+    matching_sums,
     near_far_policy,
     noma_rates,
     noma_sum_rate,
@@ -90,6 +90,12 @@ class TestEnumeration:
         pairs = matching_array(n)
         assert len(pairs) == _double_factorial(n - 1)
         assert np.array_equal(pairs, reference)
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
+    def test_last_row_is_the_near_far_matching(self, n):
+        # `pair --oracle` breaks exact ties by this position
+        near_far = np.array(near_far_policy(n // 2).pairs) - 1
+        assert np.array_equal(matching_array(n)[-1], near_far)
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
     def test_enumerated_policies_are_validated_policies(self, n):
@@ -178,6 +184,48 @@ class TestPairRates:
         assert peak <= 256 * n
 
 
+def _pair_order_sums(rho, gains, pairs):
+    """Each matching's sum rate as its `pair_rates` pair sums added one pair
+    at a time, in pair order, each pair rated on its own."""
+    rated = {}
+    for i, j in {(i, j) for matching in pairs.tolist() for i, j in matching}:
+        weak, strong = pair_rates(rho, gains[[i, j]]).tolist()
+        rated[i, j] = weak + strong
+    totals = []
+    for matching in pairs.tolist():
+        total = 0.0
+        for i, j in matching:
+            total += rated[i, j]
+        totals.append(total)
+    return totals
+
+
+class TestMatchingSums:
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
+    def test_adds_each_matchings_pair_sums_in_pair_order(self, n):
+        gains = np.sort(np.random.default_rng(n + 20).standard_exponential(n))
+        pairs = matching_array(n)
+        assert matching_sums(SNR10.rho, gains, pairs).tolist() == (
+            _pair_order_sums(SNR10.rho, gains, pairs)
+        )
+
+    def test_a_batch_gives_each_rows_own_sums(self):
+        # bit for bit: each row's pair sums in pair order, as the row alone gives
+        batch = np.sort(np.random.default_rng(9).standard_exponential((50, 4)), axis=1)
+        pairs = pair_indices(enumerate_matchings(4))
+        sums = matching_sums(SNR10.rho, batch, pairs)
+        assert sums.shape == (50, 3)
+        for trial, gains in enumerate(batch):
+            assert np.array_equal(sums[trial], matching_sums(SNR10.rho, gains, pairs))
+            assert sums[trial].tolist() == _pair_order_sums(SNR10.rho, gains, pairs)
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
+    def test_equal_gains_tie_exactly(self, n):
+        for rho in (0.1, SNR10.rho, 1e3):
+            sums = matching_sums(rho, np.ones(n), matching_array(n))
+            assert len(set(sums.tolist())) == 1
+
+
 class TestPairingSumRate:
     def test_single_pair_reduces_to_two_user_system(self):
         gains = ChannelGains(np.array([0.3, 2.0]))
@@ -210,33 +258,33 @@ class TestPairingSumRate:
             policies = list(enumerate_matchings(n))
             for _ in range(3):
                 gains = ChannelGains(np.sort(rng.standard_exponential(n)))
-                table = matching_rates(SNR10.rho, gains.gains, pair_indices(policies))
-                for policy, row in zip(policies, table):
+                sums = matching_sums(SNR10.rho, gains.gains, pair_indices(policies))
+                for policy, matching_sum in zip(policies, sums.tolist()):
                     report = pairing_sum_rate(gains, policy, SNR10)
-                    assert np.array_equal(report.noma_rates, row)
-                    total = 0.0
+                    paired = total = 0.0
                     for i, j in policy.pairs:
                         sub = ChannelGains(np.array([gains.gains[i - 1], gains.gains[j - 1]]))
                         alloc = optimal_two_user(SNR10, sub.gains[0])
                         total += noma_sum_rate(sub, alloc, SNR10)
                         # the batched pair kernel gives each pair's own system bit for bit
-                        assert np.array_equal(row[[i - 1, j - 1]], noma_rates(sub, alloc, SNR10))
+                        rates = report.noma_rates[[i - 1, j - 1]]
+                        assert np.array_equal(rates, noma_rates(sub, alloc, SNR10))
+                        paired += rates[0] + rates[1]
+                    # the matching's sum is the report's rates added pair by pair
+                    assert matching_sum == paired
                     assert report.noma_sum == pytest.approx(total, rel=1e-12)
-        # a (trials, 4) gain batch gives each of its rows' own rates bit for bit
-        batch = np.sort(rng.standard_exponential((50, 4)), axis=1)
-        pairs = pair_indices(enumerate_matchings(4))
-        rates = matching_rates(SNR10.rho, batch, pairs)
-        assert rates.shape == (50, 3, 4)
-        for trial, gains in enumerate(batch):
-            assert np.array_equal(rates[trial], matching_rates(SNR10.rho, gains, pairs))
 
     def test_equals_the_batched_sums_over_every_ten_user_matching(self):
         gains = ChannelGains(np.sort(np.random.default_rng(8).standard_exponential(10)))
-        sums = matching_rates(SNR10.rho, gains.gains, matching_array(10)).sum(axis=-1)
+        sums = matching_sums(SNR10.rho, gains.gains, matching_array(10))
         policies = list(enumerate_matchings(10))
         assert len(policies) == len(sums) == 945
-        for policy, total in zip(policies, sums.tolist()):
-            assert pairing_sum_rate(gains, policy, SNR10).noma_sum == total
+        for policy, matching_sum in zip(policies, sums.tolist()):
+            rates = pairing_sum_rate(gains, policy, SNR10).noma_rates
+            paired = 0.0
+            for i, j in policy.pairs:  # the report's rates, added pair by pair
+                paired += rates[i - 1] + rates[j - 1]
+            assert matching_sum == paired
 
     @pytest.mark.filterwarnings("error")
     def test_rejects_a_subnormal_received_snr(self):

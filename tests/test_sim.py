@@ -366,6 +366,14 @@ class TestWorkspace:
         point = MODES["m-user-group"][2](sample_gain_rows(m, 5, trials))
         assert self._fresh_bytes(lambda: point(10.0)) <= 8 * (m - 1) * trials
 
+    def test_a_four_user_cases_point_allocates_at_most_256_bytes_a_trial(self):
+        # what is left peaks inside `pair_rates`, called by `matching_sums`:
+        # the six pairs' gathered gains and their rates, 96 bytes a trial
+        # each, and a temporary of one value a pair
+        trials = 10_000
+        point = MODES["four-user-cases"][2](sample_gain_rows(4, 5, trials))
+        assert self._fresh_bytes(lambda: point(10.0)) <= 256 * trials
+
     def test_the_reduce_of_a_block_works_in_place(self):
         trials = 10_000
         block = np.random.default_rng(1).exponential(size=(4, trials))
