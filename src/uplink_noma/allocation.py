@@ -124,17 +124,17 @@ def m_user_shares(x, m: int, out=None) -> np.ndarray:
     alpha_i = r_m / r_i - r_m / r_{i-1}, which sum to r_m / r_m = 1. At
     m = 2, alpha_1 = (sqrt(1+x) - 1)/x, the weak share of `optimal_two_user`.
     Elementwise over x, which must be finite and at least MIN_RECEIVED_SNR;
-    output shape is x.shape + (m,), weakest user first. The result is the
-    (..., m) view of a C-contiguous (m,) + x.shape array, users leading, so
-    each user's shares are contiguous and no transposing copy is made. With
-    `out`, a float (m,) + x.shape buffer in any layout, the shares are
-    written into it and the view of it is returned, so a caller evaluating
-    many points reuses one buffer.
+    output shape is x.shape + (m,), weakest user first: the view of a
+    C-contiguous (m,) + x.shape array, users leading, so each user's shares
+    are contiguous. With `out`, a float (m,) + x.shape buffer in any layout
+    (x may be its row 0), the shares are written into it and its view is
+    returned, so a caller evaluating many points reuses one buffer.
     """
     if not (isinstance(m, (int, np.integer)) and m >= 2):
         raise ValidationError(f"group size m must be an integer >= 2, got {m!r}")
     x = np.asarray(x, dtype=float)
-    if np.any(x < MIN_RECEIVED_SNR) or not np.all(np.isfinite(x)):
+    # NaN fails both; the initial values pass an empty x
+    if not (x.min(initial=math.inf) >= MIN_RECEIVED_SNR and x.max(initial=0.0) < math.inf):
         raise ValidationError("rho*g1 must be positive, finite and normal")
     # users on a leading axis keep numpy's inner loops long, over x
     shape = (int(m),) + x.shape
@@ -144,15 +144,20 @@ def m_user_shares(x, m: int, out=None) -> np.ndarray:
         r = out
     else:
         raise ValidationError(f"out must be a float array of shape {shape}")
-    r[0] = x  # not expm1(log1p(x)), which can be an ulp off x
-    # log1p(x) divided straight into r[1:]: log1p written into r and divided
-    # there would overlap, and numpy would copy it
-    np.divide(np.log1p(x), np.arange(2, m + 1).reshape((-1,) + (1,) * x.ndim), out=r[1:])
-    np.expm1(r[1:], out=r[1:])
-    np.divide(r[-1], r[:-1], out=r[:-1])  # r_m / r_i, in place
-    np.subtract(1.0, r[-2], out=r[-1, ...])  # not r_m / r_m, 0/0 where r_m underflows
-    r[1:-1] -= r[:-2]  # numpy reads the overlapping operands as if copied
-    return np.moveaxis(r, 0, -1)
+    # r_m in row 0 and r_i in row i, so that no step makes numpy copy a row
+    r[1, ...] = x  # not expm1(log1p(x)), which can be an ulp off x
+    # from x, not row 1: for a source partly overlapping its output, as rows
+    # interleaved in `out` are, numpy leaves its SIMD log1p for libm's bits
+    np.log1p(x, out=r[0, ...])
+    np.divide(r[0], np.arange(2.0, m).reshape((-1,) + (1,) * x.ndim), out=r[2:])
+    np.divide(r[0], m, out=r[0, ...])
+    np.expm1(r[2:], out=r[2:])
+    np.expm1(r[0], out=r[0, ...])
+    np.divide(r[0], r[1:], out=r[1:])  # q_i = r_m / r_i, in place
+    r[0, ...] = r[1]  # alpha_1 = q_1
+    np.subtract(r[2:], r[1:-1], out=r[1:-1])  # alpha_i = q_i - q_{i-1}
+    np.subtract(1.0, r[-1], out=r[-1, ...])  # not r_m / r_m, 0/0 where r_m underflows
+    return r.transpose(tuple(range(1, r.ndim)) + (0,))
 
 
 def optimal_m_user(snr: TransmitSnr, g1: float, m: int) -> PowerAllocation:

@@ -12,8 +12,8 @@ t*m .. t*m+m-1 of that generator's raw stream. A sweep draws once and shares
 that matrix across its SNR grid, since the gains do not depend on the SNR
 (see `sim`). `sample_gain_rows` reaches a run of trials in O(1) through
 `advance`, draws its words in one call, maps them to exponentials, orders
-each row (two-user rows by one compare-exchange written users leading,
-larger rows by a row sort) and validates the matrix once;
+each row (two-user rows by one compare-exchange, larger rows by a row
+sort), writes the matrix users leading and validates it once;
 `sample_rayleigh_gains` is its one-row view.
 """
 
@@ -43,9 +43,9 @@ def sample_gain_rows(m: int, seed: int, count: int, first: int = 0) -> np.ndarra
 
     Returns a (count, m) matrix whose row r holds the m sorted unit-mean
     exponential gains of trial t = first + r: words t*m .. t*m+m-1 of the
-    seed's Philox stream, mapped by `unit_exponentials`. At m = 2 it is the
-    transposed view of a C-contiguous (2, count) array, so each user's
-    column is contiguous for the kernels; larger m are C-contiguous.
+    seed's Philox stream, mapped by `unit_exponentials`: the rows are ordered,
+    then written once users leading, as the transposed view of a C-contiguous
+    (m, count) array, so each user's column is contiguous for the kernels.
     """
     if not (isinstance(m, (int, np.integer)) and m >= 2):
         raise ValidationError(f"m must be an integer >= 2, got {m!r}")
@@ -63,13 +63,14 @@ def sample_gain_rows(m: int, seed: int, count: int, first: int = 0) -> np.ndarra
     blocks, skip = divmod(first * m, 4)  # Philox emits four words per counter step
     bit_gen.advance(blocks)
     rows = unit_exponentials(bit_gen.random_raw(skip + count * m)[skip:]).reshape(count, m)
+    ordered = np.empty((m, count))  # users leading: each user's gains contiguous
     if m == 2:  # one compare-exchange orders a pair, far cheaper than a row sort
-        ordered = np.empty((2, count))  # users leading: each user's gains contiguous
         np.minimum(rows[:, 0], rows[:, 1], out=ordered[0])
         np.maximum(rows[:, 0], rows[:, 1], out=ordered[1])
-        rows = ordered.T
     else:
         rows.sort(axis=1)
+        ordered.T[...] = rows
+    rows = ordered.T
     check_gains(rows)
     return rows
 

@@ -188,31 +188,40 @@ def sic_rates(rho, alphas, gains, out=None):
     return log2_1p(out, out=out)
 
 
-def _row_sum_order(m: int) -> str:
-    """Layout for products of m-user rows about to be summed along the row.
-    numpy sums a contiguous row of 8 or more pairwise and a strided one term
-    by term, so such rows are laid out C-contiguous, to be summed in one order
-    whatever the inputs' layout. Shorter rows sum term by term in any layout
-    and keep the inputs' own: the sampler's strided two-user view sums far
-    faster than a C-contiguous copy of it."""
-    return "C" if m >= 8 else "K"
+def user_sum(terms, out=None, acc=None):
+    """Sum of users-leading (m, ...) terms over the users, m >= 2, in the
+    pairwise steps numpy takes along each C-contiguous (..., m) row, so with
+    its bits. Into `out` if given; `acc` is an (8, ...) scratch for m >= 8,
+    so a caller evaluating many points reuses both."""
+    m = len(terms)
+    out = np.empty(terms.shape[1:]) if out is None else out
+    acc = np.empty((8,) + terms.shape[1:]) if acc is None and m >= 8 else acc
+    if m > 128:  # the two halves, split at a multiple of 8
+        half = m // 2 - m // 2 % 8
+        user_sum(terms[:half], out, acc)
+        return np.add(out, user_sum(terms[half:], acc=acc), out=out)
+    tail = 2 if m < 8 else m - m % 8  # the terms then added one by one
+    if m < 8:
+        np.add(terms[0], terms[1], out=out)
+    else:  # eight running sums over blocks of 8, combined as ((s0+s1)+(s2+s3))+((s4+s5)+(s6+s7))
+        sums = terms[:8] if tail == 8 else np.add(terms[:8], terms[8:16], out=acc)
+        for i in range(16, tail, 8):
+            acc += terms[i:i + 8]
+        pairs = np.add(sums[0::2], sums[1::2], out=acc[0::2])  # views numpy need not copy
+        np.add(pairs[0::2], pairs[1::2], out=pairs[0::2])
+        np.add(pairs[0], pairs[2], out=out)
+    for row in terms[tail:]:
+        out += row
+    return out
 
 
-def group_sum_rate(rho, alphas, gains, out=None, products=None):
-    """SIC sum rate log2(1 + rho*sum_i a_i*g_i) along the last axis, without
-    validation; the per-user rates of `sic_rates` telescope to it. Each row
-    is summed in one order whatever the inputs' layout (`_row_sum_order`).
-
-    The rates go into `out` if given. `products`, if given, is the scratch
-    buffer for a_i*g_i: the broadcast shape, laid out as `_row_sum_order`
-    says (with "K", as the gains), so a caller evaluating many points reuses
-    one buffer and gets the same bits.
-    """
-    if products is None:
-        products = np.multiply(alphas, gains, order=_row_sum_order(np.shape(gains)[-1]))
-    else:
-        np.multiply(alphas, gains, out=products)
-    total = np.multiply(rho, np.sum(products, axis=-1, out=out), out=out)
+def group_sum_rate(rho, alphas, gains, out=None):
+    """SIC sum rate log2(1 + rho*sum_i a_i*g_i) along the last axis, into
+    `out` if given, without validation; the rates of `sic_rates` telescope
+    to it. The products a_i*g_i are laid out users leading for `user_sum`,
+    so each row has the same bits whatever the inputs' layout."""
+    products = np.ascontiguousarray(np.moveaxis(np.multiply(alphas, gains), -1, 0))
+    total = np.multiply(rho, user_sum(products, out=out), out=out)
     return log2_1p(total, out=out)
 
 

@@ -17,10 +17,10 @@ which `SweepConfig`, `run_sweep` and the CLI read; the two-user rates use
 set up once per sweep, on the draw: it allocates the (columns, trials)
 output block and any trials x users buffers then, every grid point
 overwrites them, and the reduce squares the deviations in the block itself.
-The sweep holds its draw and this workspace to its last point. A point
-still allocates row-length temporaries, numpy's copy of the rows
-`m_user_shares` subtracts overlapping, and in the four-user cases the pair
-rates and sums of `matching_sums`. Each point's bits are those it would have alone.
+The sweep holds its draw and this workspace to its last point. A group
+point allocates no row-length temporary; a two-user rates point still
+allocates one, and a four-user cases point the pair rates and sums of
+`matching_sums`. Each point's bits are those it would have alone.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (
-    TransmitSnr, ValidationError, _row_sum_order, check_received_snr, group_sum_rate, log2_1p,
+    TransmitSnr, ValidationError, check_received_snr, log2_1p, user_sum,
 )
 from .allocation import m_user_shares
 from .channel import sample_gain_rows
@@ -44,7 +44,7 @@ DEFAULT_GROUP_SIZE = 12
 
 # most gains (trials x users) in a sweep's one draw, shared by all its grid
 # points; the sampler holds them all at once, and the sweep keeps them and its
-# workspace (at most two more trials x users buffers, in the group-sum modes)
+# workspace (at most one more trials x users buffer, in the group-sum modes)
 # to its last point, so a larger sweep is refused before anything is allocated
 MAX_SWEEP_GAINS = 2**26
 
@@ -68,21 +68,22 @@ def _two_user_rates(gains):
 def _group_and_oma_sums(gains):
     """Point kernel into one C-contiguous (2, trials) block: each row's
     recursive-split NOMA sum (at two users, the optimal pair) and its 1/M
-    orthogonal sum. One (users, trials) shares buffer and one (trials, users)
-    products buffer, laid out as `_row_sum_order` says, serve every point;
-    the products buffer takes the NOMA products and then the OMA log terms,
-    so each row is summed in one order whatever the gains' layout."""
+    orthogonal sum. One (users, trials) terms buffer serves every point: it
+    takes the shares, then their products with the gains, and then the OMA
+    log terms, each summed over the users by `user_sum` (with one (8, trials)
+    scratch), so each row is summed in one order whatever the gains' layout."""
     trials, m = gains.shape
+    users = gains.T  # users leading, contiguous for the sampler's rows
     block = np.empty((2, trials))
-    shares = np.empty((m, trials))
-    products = np.empty_like(gains, order=_row_sum_order(m))
+    terms = np.empty((m, trials))
+    acc = np.empty((8, trials)) if m >= 8 else None
 
     def point(rho):
-        alphas = m_user_shares(np.multiply(rho, gains[:, 0], out=block[0]), m, out=shares)
-        group_sum_rate(rho, alphas, gains, out=block[0], products=products)
-        log2_1p(np.multiply(rho, gains, out=products), out=products)
-        oma = np.sum(products, axis=1, out=block[1])
-        oma /= m
+        m_user_shares(np.multiply(rho, users[0], out=block[0]), m, out=terms)
+        np.multiply(terms, users, out=terms)
+        log2_1p(np.multiply(rho, user_sum(terms, block[0], acc), out=block[0]), out=block[0])
+        log2_1p(np.multiply(rho, users, out=terms), out=terms)
+        np.divide(user_sum(terms, block[1], acc), m, out=block[1])
         return block
 
     return point

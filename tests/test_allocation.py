@@ -350,6 +350,22 @@ class TestMUser:
             assert np.shares_memory(shares, buf)
             assert np.array_equal(shares, m_user_shares(xs, m))
 
+    @pytest.mark.parametrize("m", [2, 3, 12, 32])
+    @pytest.mark.parametrize("shape", [(), (60,), (6, 10)])
+    def test_x_as_the_buffers_first_row_gives_the_same_bits(self, m, shape):
+        # as `pair_rates` calls it: x is row 0 of `out`, which the shares overwrite
+        xs = np.geomspace(1e-4, 1e5, 60)[: math.prod(shape)].reshape(shape)
+        expected = m_user_shares(xs, m)
+        for order in ("C", "F"):
+            buf = np.full((m,) + shape, np.nan, order=order)
+            buf[0] = xs
+            assert np.array_equal(m_user_shares(buf[0, ...], m, out=buf), expected)
+            # the (..., m) layout `pair_rates` hands in, users interleaved
+            rows = np.full(shape + (m,), np.nan, order=order)
+            rows[..., 0] = xs
+            m_user_shares(rows[..., 0], m, out=np.moveaxis(rows, -1, 0))
+            assert np.array_equal(rows, expected)
+
     @pytest.mark.parametrize(
         "out", [np.empty((9, 3)), np.empty((3, 8)), np.empty((3, 9), dtype=np.float32), [0.0] * 27]
     )

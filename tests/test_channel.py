@@ -100,6 +100,7 @@ class TestBatchedStream:
         first = min(first, 2**64 - count)
         rows = sample_gain_rows(m, seed, count, first)
         assert rows.shape == (count, m)
+        assert rows.T.flags.c_contiguous  # users leading: each user's gains contiguous
         assert np.all(np.isfinite(rows)) and np.all(rows > 0.0)
         assert np.all(np.diff(rows, axis=1) >= 0.0)
         # the same words, drawn and mapped apart from the sampler, then sorted

@@ -18,7 +18,7 @@ from uplink_noma import (
     noma_sum_rate,
     oma_rates,
 )
-from uplink_noma.model import _row_sum_order, check_gains, group_sum_rate, sic_rates
+from uplink_noma.model import check_gains, group_sum_rate, sic_rates, user_sum
 
 SNR10 = TransmitSnr(10.0)
 
@@ -124,9 +124,35 @@ class TestNomaSumRate:
         for layout in (gains, np.asfortranarray(gains)):
             expected = group_sum_rate(10.0, alphas, layout)
             out = np.full(101, np.nan)
-            products = np.full_like(layout, np.nan, order=_row_sum_order(m))
-            assert group_sum_rate(10.0, alphas, layout, out=out, products=products) is out
+            assert group_sum_rate(10.0, alphas, layout, out=out) is out
             assert np.array_equal(out, expected)
+
+
+# user counts on every branch of numpy's pairwise sum and at its edges
+_SUM_USERS = [*range(2, 41), 64, 127, 128, 129, 130, 255, 256, 257, 300, 1000]
+
+
+class TestUserSum:
+    """`user_sum` of users-leading terms has the bits of numpy's row sums."""
+
+    @pytest.mark.parametrize("m", _SUM_USERS)
+    def test_equals_numpys_sum_of_c_contiguous_rows(self, m):
+        rng = np.random.default_rng(m)
+        acc = np.full((8, 10_000), np.nan)
+        for trials in (1, 7, 500, 10_000):
+            rows = rng.exponential(size=(trials, m))
+            rows *= rng.permutation(np.geomspace(1e-8, 1e8, m))  # far apart in size
+            terms = np.ascontiguousarray(rows.T)
+            expected = np.sum(rows, axis=1)
+            assert np.array_equal(user_sum(terms), expected)
+            out = np.full(trials, np.nan)
+            assert user_sum(terms, out=out, acc=acc[:, :trials]) is out
+            assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("m", [2, 7, 8, 9, 40, 129])
+    def test_one_row_sums_to_numpys_scalar(self, m):
+        row = np.random.default_rng(m).exponential(size=m)
+        assert user_sum(row) == np.sum(row)
 
 
 @st.composite

@@ -278,9 +278,10 @@ class TestStackedReducer:
             assert np.all(stderr > 0.0)
 
 
-# (mode, group size) for each kernel at every size it takes of 2, 3, 4, 8 and 32
+# (mode, group size) for each kernel at every size it takes of 2, 3, 4, 7, 8,
+# 9, 32 and 129: each branch of `user_sum`, and the edges between them
 _KERNEL_SIZES = [
-    (mode, m) for mode, (_, size, _) in MODES.items() for m in (2, 3, 4, 8, 32)
+    (mode, m) for mode, (_, size, _) in MODES.items() for m in (2, 3, 4, 7, 8, 9, 32, 129)
     if size in (None, m)
 ]
 
@@ -292,7 +293,7 @@ class TestKernelLayout:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("mode, m", _KERNEL_SIZES)
     def test_sampler_rows_and_their_copies_give_the_same_bits(self, mode, m):
-        # at m = 2 the sampler's rows are a users-leading view; numpy sums a
+        # the sampler's rows are a users-leading view; numpy sums a
         # C-contiguous row of 8 or more in another order than a strided one
         kernel = MODES[mode][2]
         rows = sample_gain_rows(m, 7, 257)
@@ -353,18 +354,19 @@ class TestWorkspace:
                 tracemalloc.stop()
 
     def test_a_two_user_rates_point_allocates_at_most_16_bytes_a_trial(self):
-        # what is left: one row-length temporary each in `m_user_shares`
-        # (log1p) and `sic_rates` (1 + interference), never both at once
+        # what is left: one row-length temporary in `sic_rates`
+        # (1 + interference)
         trials = 10_000
         point = MODES["two-user-rates"][2](sample_gain_rows(2, 5, trials))
         assert self._fresh_bytes(lambda: point(10.0)) <= 16 * trials
 
-    def test_an_m_user_group_point_allocates_less_than_m_rows(self):
-        # what is left is numpy's copy of the M - 2 rows that `m_user_shares`
-        # subtracts overlapping, and a row-length log1p temporary before it
+    def test_an_m_user_group_point_allocates_no_row(self):
+        # no row-length temporary is left: the shares are differenced and
+        # the users summed in the kernel's buffers, without numpy's overlap
+        # copy, and log1p(rho*g1) goes straight into the shares buffer
         trials, m = 10_000, 12
         point = MODES["m-user-group"][2](sample_gain_rows(m, 5, trials))
-        assert self._fresh_bytes(lambda: point(10.0)) <= 8 * (m - 1) * trials
+        assert self._fresh_bytes(lambda: point(10.0)) <= trials
 
     def test_a_four_user_cases_point_allocates_at_most_256_bytes_a_trial(self):
         # what is left peaks inside `pair_rates`, called by `matching_sums`:
