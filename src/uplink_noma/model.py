@@ -10,6 +10,7 @@ weaker users j < i and the weakest user is decoded interference free.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,10 +45,17 @@ class TransmitSnr:
     rho: float
 
     def __post_init__(self):
-        if not (isinstance(self.rho, (int, float)) and math.isfinite(self.rho)):
+        rho = self.rho
+        if isinstance(rho, numbers.Real) and not isinstance(rho, bool):
+            try:
+                rho = float(rho)  # numpy scalars too; stored as a Python float
+            except OverflowError:  # an integer beyond float range
+                pass
+        if not (isinstance(rho, float) and math.isfinite(rho)):
             raise ValidationError(f"rho must be a finite number, got {self.rho!r}")
-        if self.rho <= 0.0:
+        if rho <= 0.0:
             raise ValidationError(f"rho must be positive, got {self.rho!r}")
+        object.__setattr__(self, "rho", rho)
 
     @classmethod
     def from_db(cls, snr_db: float) -> "TransmitSnr":
@@ -188,41 +196,16 @@ def sic_rates(rho, alphas, gains, out=None):
     return log2_1p(out, out=out)
 
 
-def user_sum(terms, out=None, acc=None):
-    """Sum of users-leading (m, ...) terms over the users, m >= 2, in the
-    pairwise steps numpy takes along each C-contiguous (..., m) row, so with
-    its bits. Into `out` if given; `acc` is an (8, ...) scratch for m >= 8,
-    so a caller evaluating many points reuses both."""
-    m = len(terms)
-    out = np.empty(terms.shape[1:]) if out is None else out
-    acc = np.empty((8,) + terms.shape[1:]) if acc is None and m >= 8 else acc
-    if m > 128:  # the two halves, split at a multiple of 8
-        half = m // 2 - m // 2 % 8
-        user_sum(terms[:half], out, acc)
-        return np.add(out, user_sum(terms[half:], acc=acc), out=out)
-    tail = 2 if m < 8 else m - m % 8  # the terms then added one by one
-    if m < 8:
-        np.add(terms[0], terms[1], out=out)
-    else:  # eight running sums over blocks of 8, combined as ((s0+s1)+(s2+s3))+((s4+s5)+(s6+s7))
-        sums = terms[:8] if tail == 8 else np.add(terms[:8], terms[8:16], out=acc)
-        for i in range(16, tail, 8):
-            acc += terms[i:i + 8]
-        pairs = np.add(sums[0::2], sums[1::2], out=acc[0::2])  # views numpy need not copy
-        np.add(pairs[0::2], pairs[1::2], out=pairs[0::2])
-        np.add(pairs[0], pairs[2], out=out)
-    for row in terms[tail:]:
-        out += row
-    return out
-
-
-def group_sum_rate(rho, alphas, gains, out=None):
-    """SIC sum rate log2(1 + rho*sum_i a_i*g_i) along the last axis, into
-    `out` if given, without validation; the rates of `sic_rates` telescope
-    to it. The products a_i*g_i are laid out users leading for `user_sum`,
-    so each row has the same bits whatever the inputs' layout."""
-    products = np.ascontiguousarray(np.moveaxis(np.multiply(alphas, gains), -1, 0))
-    total = np.multiply(rho, user_sum(products, out=out), out=out)
-    return log2_1p(total, out=out)
+def group_sum_rate(rho, terms, out=None):
+    """SIC sum rate log2(1 + rho*sum_i a_i*g_i) of users-leading (m, ...)
+    products a_i*g_i, into `out` if given, without validation; the rates of
+    `sic_rates` telescope to it. The users are summed by `np.add.reduce` over
+    a C-contiguous copy (no copy if the products already are): left to right,
+    ((t_0 + t_1) + t_2) + ..., when the rest of the shape holds two or more
+    values, and in numpy's pairwise order for a vector sum when it holds one.
+    So the bits never depend on the products' layout."""
+    total = np.add.reduce(np.ascontiguousarray(terms), axis=0, out=out)
+    return log2_1p(np.multiply(rho, total, out=out), out=out)
 
 
 def noma_rates(gains: ChannelGains, alloc: PowerAllocation, snr: TransmitSnr) -> np.ndarray:
@@ -239,4 +222,4 @@ def oma_rates(gains: ChannelGains, snr: TransmitSnr) -> np.ndarray:
 def noma_sum_rate(gains: ChannelGains, alloc: PowerAllocation, snr: TransmitSnr) -> float:
     """NOMA sum rate log2(1 + sum_i rho*a_i*g_i), the sum of `noma_rates`."""
     _require_same_length(gains, alloc)
-    return float(group_sum_rate(snr.rho, alloc.alphas, gains.gains))
+    return float(group_sum_rate(snr.rho, alloc.alphas * gains.gains))

@@ -13,10 +13,11 @@ curve share their draws, so they move together from seed to seed; each
 point's mean and standard error are those of its own independent trials.
 Each mode's columns, group size and kernel live in one table, `MODES`,
 which `SweepConfig`, `run_sweep` and the CLI read; the two-user rates use
-`pair_rates` and the four-user cases `matching_sums`. A mode's kernel is
-set up once per sweep, on the draw: it allocates the (columns, trials)
-output block and any trials x users buffers then, every grid point
-overwrites them, and the reduce squares the deviations in the block itself.
+`pair_rates`, the group sums `group_sum_rate` and the four-user cases
+`matching_sums`. A mode's kernel is set up once per sweep, on the draw: it
+allocates the (columns, trials) output block and any trials x users
+buffers then, every grid point overwrites them, and the reduce squares the
+deviations in the block itself.
 The sweep holds its draw and this workspace to its last point. A group
 point allocates no row-length temporary; a two-user rates point still
 allocates one, and a four-user cases point the pair rates and sums of
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (
-    TransmitSnr, ValidationError, check_received_snr, log2_1p, user_sum,
+    TransmitSnr, ValidationError, check_received_snr, group_sum_rate, log2_1p,
 )
 from .allocation import m_user_shares
 from .channel import sample_gain_rows
@@ -68,22 +69,21 @@ def _two_user_rates(gains):
 def _group_and_oma_sums(gains):
     """Point kernel into one C-contiguous (2, trials) block: each row's
     recursive-split NOMA sum (at two users, the optimal pair) and its 1/M
-    orthogonal sum. One (users, trials) terms buffer serves every point: it
-    takes the shares, then their products with the gains, and then the OMA
-    log terms, each summed over the users by `user_sum` (with one (8, trials)
-    scratch), so each row is summed in one order whatever the gains' layout."""
+    orthogonal sum. One C-contiguous (users, trials) terms buffer serves every
+    point: it takes the shares, then their products with the gains, whose
+    sum rate `group_sum_rate` writes into the NOMA row, and then the OMA log
+    terms, which `np.add.reduce` sums into the OMA row in the same order
+    whatever the gains' layout."""
     trials, m = gains.shape
     users = gains.T  # users leading, contiguous for the sampler's rows
     block = np.empty((2, trials))
     terms = np.empty((m, trials))
-    acc = np.empty((8, trials)) if m >= 8 else None
 
     def point(rho):
         m_user_shares(np.multiply(rho, users[0], out=block[0]), m, out=terms)
-        np.multiply(terms, users, out=terms)
-        log2_1p(np.multiply(rho, user_sum(terms, block[0], acc), out=block[0]), out=block[0])
+        group_sum_rate(rho, np.multiply(terms, users, out=terms), out=block[0])
         log2_1p(np.multiply(rho, users, out=terms), out=terms)
-        np.divide(user_sum(terms, block[1], acc), m, out=block[1])
+        np.divide(np.add.reduce(terms, axis=0, out=block[1]), m, out=block[1])
         return block
 
     return point
@@ -115,6 +115,11 @@ MODES = {
 }
 
 
+def _is_integer(value) -> bool:
+    """An int or numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True, eq=False)
 class SweepConfig:
     """One sweep: mode, group size, SNR grid in dB, trial count, seed. A
@@ -133,18 +138,18 @@ class SweepConfig:
         size = MODES[self.mode][1]
         if self.users is None:
             object.__setattr__(self, "users", size or DEFAULT_GROUP_SIZE)
-        if not (isinstance(self.users, (int, np.integer)) and self.users >= 2):
+        if not (_is_integer(self.users) and self.users >= 2):
             raise ValidationError(f"users must be an integer >= 2, got {self.users!r}")
         if size is not None and self.users != size:
             raise ValidationError(f"{self.mode} requires users={size}, got {self.users}")
-        if not (isinstance(self.trials, (int, np.integer)) and self.trials >= 1):
+        if not (_is_integer(self.trials) and self.trials >= 1):
             raise ValidationError(f"trials must be an integer >= 1, got {self.trials!r}")
         if int(self.trials) * int(self.users) > MAX_SWEEP_GAINS:
             raise ValidationError(
                 f"trials x users of {self.trials} x {self.users} exceeds "
                 f"{MAX_SWEEP_GAINS} gains in the sweep's one draw"
             )
-        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**64):
+        if not (_is_integer(self.seed) and 0 <= self.seed < 2**64):
             raise ValidationError("seed must fit in an unsigned 64-bit integer")
         grid = np.asarray(self.snr_db, dtype=float)
         if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)):

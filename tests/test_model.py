@@ -18,7 +18,7 @@ from uplink_noma import (
     noma_sum_rate,
     oma_rates,
 )
-from uplink_noma.model import check_gains, group_sum_rate, sic_rates, user_sum
+from uplink_noma.model import check_gains, group_sum_rate, log2_1p, sic_rates
 
 SNR10 = TransmitSnr(10.0)
 
@@ -121,38 +121,60 @@ class TestNomaSumRate:
         rng = np.random.default_rng(m)
         gains = np.sort(rng.exponential(size=(101, m)), axis=1)
         alphas = rng.dirichlet(np.ones(m), size=101)
-        for layout in (gains, np.asfortranarray(gains)):
-            expected = group_sum_rate(10.0, alphas, layout)
+        products = (alphas * gains).T  # users leading, Fortran-ordered
+        expected = group_sum_rate(10.0, np.ascontiguousarray(products))
+        for layout in (np.ascontiguousarray(products), products):
             out = np.full(101, np.nan)
-            assert group_sum_rate(10.0, alphas, layout, out=out) is out
+            assert group_sum_rate(10.0, layout, out=out) is out
             assert np.array_equal(out, expected)
 
 
-# user counts on every branch of numpy's pairwise sum and at its edges
-_SUM_USERS = [*range(2, 41), 64, 127, 128, 129, 130, 255, 256, 257, 300, 1000]
+# user counts either side of numpy's unroll of 8 and of its pairwise blocks
+# of 128, where a vector sum's order changes
+_SUM_USERS = [2, 3, 7, 8, 9, 32, 129, 130, 1000]
 
 
-class TestUserSum:
-    """`user_sum` of users-leading terms has the bits of numpy's row sums."""
+def _spread_terms(m, shape):
+    """Users-leading (m, *shape) terms, the users far apart in size, so that
+    sums in different orders differ in their last bits."""
+    rng = np.random.default_rng(m)
+    scales = rng.permutation(np.geomspace(1e-8, 1e8, m))
+    return rng.exponential(size=(m, *shape)) * scales.reshape((m,) + (1,) * len(shape))
+
+
+class TestGroupSumOrder:
+    """`group_sum_rate` sums C-contiguous users-leading products as
+    `np.add.reduce` does: row by row with two or more trials, and as
+    `np.sum` sums a vector with one."""
+
+    @pytest.mark.parametrize("trials", [2, 7, 500])
+    @pytest.mark.parametrize("m", _SUM_USERS)
+    def test_sums_the_users_left_to_right(self, m, trials):
+        terms = _spread_terms(m, (trials,))
+        total = terms[0].copy()
+        for row in terms[1:]:
+            total += row  # ((t0 + t1) + t2) + ...
+        assert np.array_equal(group_sum_rate(10.0, terms), log2_1p(10.0 * total))
 
     @pytest.mark.parametrize("m", _SUM_USERS)
-    def test_equals_numpys_sum_of_c_contiguous_rows(self, m):
-        rng = np.random.default_rng(m)
-        acc = np.full((8, 10_000), np.nan)
-        for trials in (1, 7, 500, 10_000):
-            rows = rng.exponential(size=(trials, m))
-            rows *= rng.permutation(np.geomspace(1e-8, 1e8, m))  # far apart in size
-            terms = np.ascontiguousarray(rows.T)
-            expected = np.sum(rows, axis=1)
-            assert np.array_equal(user_sum(terms), expected)
-            out = np.full(trials, np.nan)
-            assert user_sum(terms, out=out, acc=acc[:, :trials]) is out
-            assert np.array_equal(out, expected)
+    def test_one_trial_sums_as_numpy_sums_a_vector(self, m):
+        row = _spread_terms(m, ())
+        expected = log2_1p(10.0 * np.sum(row))
+        assert group_sum_rate(10.0, row) == expected
+        assert np.array_equal(group_sum_rate(10.0, row[:, np.newaxis]), [expected])
 
-    @pytest.mark.parametrize("m", [2, 7, 8, 9, 40, 129])
-    def test_one_row_sums_to_numpys_scalar(self, m):
-        row = np.random.default_rng(m).exponential(size=m)
-        assert user_sum(row) == np.sum(row)
+    @pytest.mark.parametrize("m", _SUM_USERS)
+    def test_layout_and_out_give_the_same_bits(self, m):
+        # products handed in transposed, as trials-leading rows give them,
+        # are copied C-contiguous first, so they sum in the same order
+        for trials in (1, 2, 7, 500):
+            terms = _spread_terms(m, (trials,))
+            expected = group_sum_rate(10.0, terms)
+            for layout in (terms, np.ascontiguousarray(terms.T).T):
+                out = np.full(trials, np.nan)
+                assert group_sum_rate(10.0, layout, out=out) is out
+                assert np.array_equal(out, expected)
+                assert np.array_equal(group_sum_rate(10.0, layout), expected)
 
 
 @st.composite
@@ -267,9 +289,14 @@ class TestSicRates:
 
 class TestValidation:
     def test_snr_must_be_positive_finite(self):
-        for bad in (0.0, -1.0, float("inf"), float("nan")):
+        for bad in (0.0, -1.0, float("inf"), float("nan"), True, False, np.float32("inf"),
+                    np.int64(0), 10**400, "10", None):
             with pytest.raises(ValidationError):
                 TransmitSnr(bad)
+        # any finite real number but a bool, stored as a Python float
+        for good in (10, 10.0, np.int64(10), np.float32(10), np.float64(10)):
+            snr = TransmitSnr(good)
+            assert type(snr.rho) is float and snr.rho == 10.0
 
     def test_snr_from_db(self):
         assert TransmitSnr.from_db(10.0).rho == pytest.approx(10.0, rel=1e-15)

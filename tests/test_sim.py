@@ -23,6 +23,8 @@ from uplink_noma import (
     sample_rayleigh_gains,
 )
 from uplink_noma import sim
+from uplink_noma.allocation import m_user_shares
+from uplink_noma.model import group_sum_rate, log2_1p
 from uplink_noma.sim import MODES, _mean_and_stderr
 
 SMALL_GRID = (-10.0, 0.0, 10.0, 20.0)
@@ -73,6 +75,14 @@ class TestConfig:
             SweepConfig(mode="two-user-sum", users=2, snr_db=())
         with pytest.raises(ValidationError):
             SweepConfig(mode="two-user-sum", users=2, trials=0)
+        # a bool is no count and no seed
+        for bad in ({"trials": True}, {"seed": True}, {"seed": False}, {"users": True}):
+            with pytest.raises(ValidationError):
+                SweepConfig(mode="m-user-group", **bad)
+        config = SweepConfig(
+            mode="m-user-group", users=np.int64(3), trials=np.int64(5), seed=np.uint64(1)
+        )
+        assert (config.users, config.trials, config.seed) == (3, 5, 1)
 
 
 class TestDeterminism:
@@ -279,7 +289,8 @@ class TestStackedReducer:
 
 
 # (mode, group size) for each kernel at every size it takes of 2, 3, 4, 7, 8,
-# 9, 32 and 129: each branch of `user_sum`, and the edges between them
+# 9, 32 and 129: either side of numpy's unroll of 8 and of its pairwise
+# blocks of 128, where a sum along a row changes its order
 _KERNEL_SIZES = [
     (mode, m) for mode, (_, size, _) in MODES.items() for m in (2, 3, 4, 7, 8, 9, 32, 129)
     if size in (None, m)
@@ -304,6 +315,27 @@ class TestKernelLayout:
             assert samples.flags.c_contiguous  # reduced in place, never copied
             for point in points[1:]:
                 assert np.array_equal(point(rho), samples)
+
+
+class TestGroupKernel:
+    """The group kernel's NOMA row is `group_sum_rate` of the shares' products
+    with the gains, and its OMA row the users' mean orthogonal rate."""
+
+    @pytest.mark.parametrize(
+        "mode, m",
+        [(mode, m) for mode, m in _KERNEL_SIZES if mode in ("two-user-sum", "m-user-group")],
+    )
+    def test_rows_are_the_model_kernels(self, mode, m):
+        rows = sample_gain_rows(m, 11, 257)
+        users = np.ascontiguousarray(rows.T)
+        point = MODES[mode][2](rows)
+        for rho in (0.1, 10.0, 1e3):
+            shares = m_user_shares(rho * users[0], m).T
+            noma = group_sum_rate(rho, shares * users)
+            oma = np.add.reduce(log2_1p(rho * users), axis=0) / m
+            block = point(rho)
+            assert np.array_equal(block[0], noma)
+            assert np.array_equal(block[1], oma)
 
 
 def _nan_filled(allocate):
@@ -367,6 +399,15 @@ class TestWorkspace:
         trials, m = 10_000, 12
         point = MODES["m-user-group"][2](sample_gain_rows(m, 5, trials))
         assert self._fresh_bytes(lambda: point(10.0)) <= trials
+
+    @pytest.mark.parametrize("m", [3, 12, 32])
+    def test_an_m_user_group_kernel_allocates_its_block_and_terms_only(self, m):
+        # the (2, trials) block and the (m, trials) terms buffer: the users
+        # are summed by `np.add.reduce`, which needs no scratch
+        trials = 10_000
+        gains = sample_gain_rows(m, 5, trials)
+        build = MODES["m-user-group"][2]
+        assert self._fresh_bytes(lambda: build(gains)) <= 8 * (m + 2) * trials + 4096
 
     def test_a_four_user_cases_point_allocates_at_most_256_bytes_a_trial(self):
         # what is left peaks inside `pair_rates`, called by `matching_sums`:
