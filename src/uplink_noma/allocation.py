@@ -27,6 +27,8 @@ from .model import (
     PowerAllocation,
     TransmitSnr,
     ValidationError,
+    check_integer,
+    check_positive,
     check_received_snr,
 )
 
@@ -56,13 +58,6 @@ class FeasibleInterval:
             )
 
 
-def _check_gain(name: str, value: float) -> float:
-    value = float(value)
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValidationError(f"{name} must be a positive finite number, got {value!r}")
-    return value
-
-
 def strong_share_bounds(snr: TransmitSnr, g1: float, g2: float) -> FeasibleInterval:
     """Feasible interval for the strong user's power fraction alpha_2.
 
@@ -77,8 +72,7 @@ def strong_share_bounds(snr: TransmitSnr, g1: float, g2: float) -> FeasibleInter
     (about 3.2e32 on, as in `optimal_m_user`) that the upper end rounds to 1
     raises ValidationError.
     """
-    g1 = _check_gain("g1", g1)
-    g2 = _check_gain("g2", g2)
+    g1, g2 = check_positive("g1", g1), check_positive("g2", g2)
     if g2 < g1:
         raise ValidationError(f"g2 must be >= g1, got g1={g1!r}, g2={g2!r}")
     check_received_snr(snr.rho, (g1, g2))
@@ -130,14 +124,13 @@ def m_user_shares(x, m: int, out=None) -> np.ndarray:
     (x may be its row 0), the shares are written into it and its view is
     returned, so a caller evaluating many points reuses one buffer.
     """
-    if not (isinstance(m, (int, np.integer)) and m >= 2):
-        raise ValidationError(f"group size m must be an integer >= 2, got {m!r}")
+    m = check_integer("group size m", m, 2)
     x = np.asarray(x, dtype=float)
     # NaN fails both; the initial values pass an empty x
     if not (x.min(initial=math.inf) >= MIN_RECEIVED_SNR and x.max(initial=0.0) < math.inf):
         raise ValidationError("rho*g1 must be positive, finite and normal")
     # users on a leading axis keep numpy's inner loops long, over x
-    shape = (int(m),) + x.shape
+    shape = (m,) + x.shape
     if out is None:
         r = np.empty(shape)
     elif isinstance(out, np.ndarray) and out.shape == shape and out.dtype == float:
@@ -169,7 +162,7 @@ def optimal_m_user(snr: TransmitSnr, g1: float, m: int) -> PowerAllocation:
     float max for m >= 5) the weaker fractions fall below float resolution
     and the strongest rounds to 1, so this raises ValidationError.
     """
-    g1 = _check_gain("g1", g1)
+    g1 = check_positive("g1", g1)
     x = snr.rho * g1
     shares = m_user_shares(x, m)
     if shares[-1] >= 1.0:

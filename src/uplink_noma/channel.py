@@ -21,9 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import ChannelGains, ValidationError, check_gains
-
-_UINT64_MAX = 2**64 - 1
+from .model import ChannelGains, check_gains, check_integer
 
 
 def unit_exponentials(words: np.ndarray) -> np.ndarray:
@@ -47,18 +45,9 @@ def sample_gain_rows(m: int, seed: int, count: int, first: int = 0) -> np.ndarra
     then written once users leading, as the transposed view of a C-contiguous
     (m, count) array, so each user's column is contiguous for the kernels.
     """
-    if not (isinstance(m, (int, np.integer)) and m >= 2):
-        raise ValidationError(f"m must be an integer >= 2, got {m!r}")
-    if not (isinstance(count, (int, np.integer)) and count >= 1):
-        raise ValidationError(f"count must be an integer >= 1, got {count!r}")
-    for name, value in (("seed", seed), ("first", first)):
-        if not isinstance(value, (int, np.integer)):
-            raise ValidationError(f"{name} must be an integer, got {value!r}")
-        if not 0 <= int(value) <= _UINT64_MAX:
-            raise ValidationError(f"{name} must fit in an unsigned 64-bit integer")
-    m, count, seed, first = int(m), int(count), int(seed), int(first)
-    if first + count - 1 > _UINT64_MAX:
-        raise ValidationError("last trial index must fit in an unsigned 64-bit integer")
+    m, count = check_integer("m", m, 2), check_integer("count", count, 1)
+    seed, first = check_integer("seed", seed, 0), check_integer("first", first, 0)
+    check_integer("last trial index", first + count - 1, 0)
     bit_gen = np.random.Philox(key=seed)  # counter at zero
     blocks, skip = divmod(first * m, 4)  # Philox emits four words per counter step
     bit_gen.advance(blocks)

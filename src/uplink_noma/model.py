@@ -5,6 +5,10 @@ sorted ascending, and every per-user vector is ordered weakest first.
 The receiver applies successive interference cancellation decoding the
 strongest user first, so user i sees residual interference only from the
 weaker users j < i and the weakest user is decoded interference free.
+
+The package's boundary checks live here and raise ValidationError:
+`check_integer`, `check_positive`, `real_array`, `frozen` (a read-only copy,
+the one value objects keep), `check_gains` and `check_received_snr`.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ SUM_TO_ONE_TOL = 1e-12
 # rates lose precision below it
 MIN_RECEIVED_SNR = float(np.finfo(float).tiny)
 
+_UINT64_MAX = 2**64 - 1  # the largest seed or trial index
+
 
 class ValidationError(ValueError):
     """An argument violates a documented model invariant."""
@@ -31,6 +37,45 @@ class ValidationError(ValueError):
 
 class DimensionError(ValidationError):
     """Vector arguments disagree in length."""
+
+
+def check_integer(name: str, value, low: int) -> int:
+    """`value` as a Python int in [low, 2**64 - 1], from an int or numpy
+    integer; a bool, float or text is refused."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < low:
+        raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
+    if int(value) > _UINT64_MAX:
+        raise ValidationError(f"{name} must be at most {_UINT64_MAX}, got {value!r}")
+    return int(value)
+
+
+def check_positive(name: str, value) -> float:
+    """`value` as a Python float, from a finite positive real number such as
+    an int or a numpy scalar; a bool, text or array is refused."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond float range
+            number = math.inf
+        if math.isfinite(number) and number > 0.0:
+            return number
+    raise ValidationError(f"{name} must be a positive finite number, got {value!r}")
+
+
+def real_array(name: str, values) -> np.ndarray:
+    """`values` as a float array, uncopied if it is one, from integers or
+    reals; a bool, complex, text or object array is refused."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "iuf":
+        raise ValidationError(f"{name} must be integer or real numbers, got dtype {array.dtype}")
+    return array.astype(float, copy=False)
+
+
+def frozen(name: str, values) -> np.ndarray:
+    """A read-only float copy of `values`, checked as `real_array` checks it."""
+    array = real_array(name, values).copy()
+    array.setflags(write=False)
+    return array
 
 
 def log2_1p(y, out=None):
@@ -45,17 +90,7 @@ class TransmitSnr:
     rho: float
 
     def __post_init__(self):
-        rho = self.rho
-        if isinstance(rho, numbers.Real) and not isinstance(rho, bool):
-            try:
-                rho = float(rho)  # numpy scalars too; stored as a Python float
-            except OverflowError:  # an integer beyond float range
-                pass
-        if not (isinstance(rho, float) and math.isfinite(rho)):
-            raise ValidationError(f"rho must be a finite number, got {self.rho!r}")
-        if rho <= 0.0:
-            raise ValidationError(f"rho must be positive, got {self.rho!r}")
-        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "rho", check_positive("rho", self.rho))
 
     @classmethod
     def from_db(cls, snr_db: float) -> "TransmitSnr":
@@ -86,12 +121,10 @@ class ChannelGains:
     gains: np.ndarray
 
     def __post_init__(self):
-        g = np.asarray(self.gains, dtype=float)
+        g = frozen("gains", self.gains)
         if g.ndim != 1 or g.size < 2:
             raise ValidationError("gains must be a 1-d vector of length >= 2")
         check_gains(g)
-        g = g.copy()
-        g.setflags(write=False)
         object.__setattr__(self, "gains", g)
 
     @property
@@ -106,7 +139,7 @@ class PowerAllocation:
     alphas: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.alphas, dtype=float)
+        a = frozen("alphas", self.alphas)
         if a.ndim != 1 or a.size < 2:
             raise ValidationError("alphas must be a 1-d vector of length >= 2")
         if not np.all(np.isfinite(a)):
@@ -118,8 +151,6 @@ class PowerAllocation:
             raise ValidationError(
                 f"alphas must sum to 1 within {SUM_TO_ONE_TOL:g}, got sum {total!r}"
             )
-        a = a.copy()
-        a.setflags(write=False)
         object.__setattr__(self, "alphas", a)
 
     @property
@@ -138,8 +169,8 @@ class RateReport:
     oma_sum: float = field(init=False)
 
     def __post_init__(self):
-        rn = np.asarray(self.noma_rates, dtype=float)
-        ro = np.asarray(self.oma_rates, dtype=float)
+        rn = frozen("noma_rates", self.noma_rates)
+        ro = frozen("oma_rates", self.oma_rates)
         if rn.ndim != 1 or ro.ndim != 1 or rn.size != ro.size:
             raise DimensionError("rate vectors must be 1-d and equal length")
         if not (np.all(np.isfinite(rn)) and np.all(np.isfinite(ro))):
@@ -147,8 +178,6 @@ class RateReport:
         if np.any(rn < 0.0) or np.any(ro < 0.0):
             raise ValidationError("rates must be nonnegative")
         for label, vec in (("noma", rn), ("oma", ro)):
-            vec = vec.copy()
-            vec.setflags(write=False)
             object.__setattr__(self, f"{label}_rates", vec)
             object.__setattr__(self, f"{label}_sum", float(vec.sum()))
 

@@ -26,8 +26,11 @@ from .model import (
     RateReport,
     TransmitSnr,
     ValidationError,
+    check_integer,
     check_received_snr,
+    frozen,
     log2_1p,
+    real_array,
     sic_rates,
 )
 from .allocation import m_user_shares
@@ -47,8 +50,8 @@ class PairingPolicy:
 
     def __post_init__(self):
         try:
-            pairs = tuple(tuple(int(v) for v in p) for p in self.pairs)
-        except (TypeError, ValueError) as exc:
+            pairs = tuple(tuple(check_integer("user index", v, 1) for v in p) for p in self.pairs)
+        except TypeError as exc:
             raise ValidationError(f"pairs must be index pairs, got {self.pairs!r}") from exc
         if not pairs or any(len(p) != 2 for p in pairs):
             raise ValidationError("policy needs at least one (i, j) pair")
@@ -71,9 +74,7 @@ class PairingPolicy:
 
 def near_far_policy(k: int) -> PairingPolicy:
     """Pair weakest with strongest, then inward: (1,2K), (2,2K-1), ..."""
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
-        raise ValidationError(f"pair count k must be an integer >= 1, got {k!r}")
-    k = int(k)
+    k = check_integer("pair count k", k, 1)
     return PairingPolicy(tuple((i, 2 * k + 1 - i) for i in range(1, k + 1)))
 
 
@@ -86,15 +87,14 @@ def matching_array(n_users: int) -> np.ndarray:
     array is built once per process for each n_users and returned read-only,
     the same object on every call; the argument is checked on every call.
     """
-    if not (isinstance(n_users, (int, np.integer)) and n_users >= 2):
-        raise ValidationError(f"n_users must be an integer >= 2, got {n_users!r}")
+    n_users = check_integer("n_users", n_users, 2)
     if n_users % 2:
         raise ValidationError(f"n_users must be even, got {n_users}")
     if n_users > MAX_ENUMERATION_USERS:
         raise ValidationError(
             f"enumeration is capped at {MAX_ENUMERATION_USERS} users, got {n_users}"
         )
-    return _matching_table(int(n_users))
+    return _matching_table(n_users)
 
 
 @functools.cache  # keyed by a checked Python int: at most 6 tables, 1 MB at n = 12
@@ -223,9 +223,7 @@ class CaseGapReport:
 
     def __post_init__(self):
         for name in ("rho_grid", "gaps"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, frozen(name, getattr(self, name)))
 
 
 def case_gap_monotonicity(gains: ChannelGains, rho_grid: Sequence[float]) -> CaseGapReport:
@@ -237,7 +235,7 @@ def case_gap_monotonicity(gains: ChannelGains, rho_grid: Sequence[float]) -> Cas
     """
     if gains.m != 4:
         raise DimensionError(f"case_gap_monotonicity needs exactly 4 gains, got {gains.m}")
-    grid = np.asarray(rho_grid, dtype=float)
+    grid = real_array("rho_grid", rho_grid)
     if grid.ndim != 1 or grid.size < 2:
         raise ValidationError("rho_grid must be a 1-d vector of length >= 2")
     if np.any(grid <= 0.0) or not np.all(np.isfinite(grid)):

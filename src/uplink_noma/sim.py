@@ -27,12 +27,13 @@ allocates one, and a four-user cases point the pair rates and sums of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import (
-    TransmitSnr, ValidationError, check_received_snr, group_sum_rate, log2_1p,
+    TransmitSnr, ValidationError, check_integer, check_received_snr, frozen, group_sum_rate,
+    log2_1p, real_array,
 )
 from .allocation import m_user_shares
 from .channel import sample_gain_rows
@@ -115,11 +116,6 @@ MODES = {
 }
 
 
-def _is_integer(value) -> bool:
-    """An int or numpy integer, not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True, eq=False)
 class SweepConfig:
     """One sweep: mode, group size, SNR grid in dB, trial count, seed. A
@@ -136,30 +132,25 @@ class SweepConfig:
         if self.mode not in MODES:
             raise ValidationError(f"mode must be one of {tuple(MODES)}, got {self.mode!r}")
         size = MODES[self.mode][1]
-        if self.users is None:
-            object.__setattr__(self, "users", size or DEFAULT_GROUP_SIZE)
-        if not (_is_integer(self.users) and self.users >= 2):
-            raise ValidationError(f"users must be an integer >= 2, got {self.users!r}")
-        if size is not None and self.users != size:
-            raise ValidationError(f"{self.mode} requires users={size}, got {self.users}")
-        if not (_is_integer(self.trials) and self.trials >= 1):
-            raise ValidationError(f"trials must be an integer >= 1, got {self.trials!r}")
-        if int(self.trials) * int(self.users) > MAX_SWEEP_GAINS:
+        users = self.users if self.users is not None else size or DEFAULT_GROUP_SIZE
+        users = check_integer("users", users, 2)
+        if size is not None and users != size:
+            raise ValidationError(f"{self.mode} requires users={size}, got {users}")
+        trials = check_integer("trials", self.trials, 1)
+        if trials * users > MAX_SWEEP_GAINS:
             raise ValidationError(
-                f"trials x users of {self.trials} x {self.users} exceeds "
+                f"trials x users of {trials} x {users} exceeds "
                 f"{MAX_SWEEP_GAINS} gains in the sweep's one draw"
             )
-        if not (_is_integer(self.seed) and 0 <= self.seed < 2**64):
-            raise ValidationError("seed must fit in an unsigned 64-bit integer")
-        grid = np.asarray(self.snr_db, dtype=float)
+        seed = check_integer("seed", self.seed, 0)
+        grid = real_array("snr_db", self.snr_db)
         if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)):
             raise ValidationError("snr_db must be a nonempty finite 1-d grid")
         if np.any(np.diff(grid) <= 0.0):
             raise ValidationError("snr_db grid must be strictly ascending")
-        object.__setattr__(self, "users", int(self.users))
-        object.__setattr__(self, "trials", int(self.trials))
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "snr_db", tuple(float(v) for v in grid))
+        for name, value in (("users", users), ("trials", trials), ("seed", seed),
+                            ("snr_db", tuple(grid.tolist()))):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,20 +166,19 @@ class SweepResult:
     seed: int
 
     def __post_init__(self):
-        grid = np.asarray(self.snr_db, dtype=float)
-        grid.setflags(write=False)
+        grid = frozen("snr_db", self.snr_db)
         object.__setattr__(self, "snr_db", grid)
-        for name, table in (("series", self.series), ("stderr", self.stderr)):
-            for key, values in table.items():
-                arr = np.asarray(values, dtype=float)
+        for name in ("series", "stderr"):
+            table = {key: frozen(f"{name}[{key!r}]", values)
+                     for key, values in getattr(self, name).items()}
+            for key, arr in table.items():
                 if arr.shape != grid.shape:
                     raise ValidationError(f"{name}[{key!r}] must have one value per point")
                 if not np.all(np.isfinite(arr)):
                     raise ValidationError(f"{name}[{key!r}] must be finite")
                 if np.any(arr < 0.0):
                     raise ValidationError(f"{name}[{key!r}] must be nonnegative")
-                arr.setflags(write=False)
-                table[key] = arr
+            object.__setattr__(self, name, table)
         if set(self.series) != set(self.stderr):
             raise ValidationError("series and stderr must report the same columns")
 

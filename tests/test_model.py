@@ -10,13 +10,22 @@ from hypothesis import strategies as st
 from uplink_noma import (
     ChannelGains,
     DimensionError,
+    PairingPolicy,
     PowerAllocation,
     RateReport,
+    SweepResult,
     TransmitSnr,
     ValidationError,
+    case_gap_monotonicity,
+    m_user_shares,
+    matching_array,
+    near_far_policy,
     noma_rates,
     noma_sum_rate,
     oma_rates,
+    optimal_m_user,
+    sample_gain_rows,
+    strong_share_bounds,
 )
 from uplink_noma.model import check_gains, group_sum_rate, log2_1p, sic_rates
 
@@ -290,7 +299,7 @@ class TestSicRates:
 class TestValidation:
     def test_snr_must_be_positive_finite(self):
         for bad in (0.0, -1.0, float("inf"), float("nan"), True, False, np.float32("inf"),
-                    np.int64(0), 10**400, "10", None):
+                    np.int64(0), 10**400, "10", None, np.array([10.0])):
             with pytest.raises(ValidationError):
                 TransmitSnr(bad)
         # any finite real number but a bool, stored as a Python float
@@ -392,3 +401,52 @@ class TestRateReport:
             RateReport(np.array([1.0, -1.0]), np.ones(2))
         with pytest.raises(ValidationError):
             RateReport(np.array([1.0, np.inf]), np.ones(2))
+
+
+# every scalar argument checked at the library boundary, but `SweepConfig`'s
+# and `TransmitSnr`'s (tests/test_sim.py and TestValidation loop over theirs):
+# a call taking the argument's value, and a valid value for an integer
+# argument, or None for a real one
+SCALAR_ARGUMENTS = {
+    "sample_gain_rows m": (lambda v: sample_gain_rows(v, 1, 1), 2),
+    "sample_gain_rows seed": (lambda v: sample_gain_rows(2, v, 1), 2),
+    "sample_gain_rows count": (lambda v: sample_gain_rows(2, 1, v), 2),
+    "sample_gain_rows first": (lambda v: sample_gain_rows(2, 1, 1, v), 2),
+    "m_user_shares m": (lambda v: m_user_shares(1.0, v), 2),
+    "optimal_m_user m": (lambda v: optimal_m_user(SNR10, 0.5, v), 2),
+    "near_far_policy k": (near_far_policy, 2),
+    "matching_array n_users": (matching_array, 2),
+    "PairingPolicy index": (lambda v: PairingPolicy(((v, 2),)), 1),
+    "optimal_m_user g1": (lambda v: optimal_m_user(SNR10, v, 2), None),
+    "strong_share_bounds g1": (lambda v: strong_share_bounds(SNR10, v, 3.0), None),
+    "strong_share_bounds g2": (lambda v: strong_share_bounds(SNR10, 0.5, v), None),
+}
+
+
+class TestBoundaryChecks:
+    @pytest.mark.parametrize("argument", list(SCALAR_ARGUMENTS))
+    def test_scalar_arguments_refuse_bools_and_text(self, argument):
+        call, good = SCALAR_ARGUMENTS[argument]
+        refused = (True, False, "2") + ((1.5,) if good is not None else (np.array([2.0]),))
+        for bad in refused:
+            with pytest.raises(ValidationError):
+                call(bad)
+        if good is not None:  # numpy integers are integers
+            for kind in (np.int64, np.uint64):
+                call(kind(good))
+
+    def test_value_objects_copy_and_never_freeze_the_callers_data(self):
+        gains, grid = ChannelGains([0.3, 0.8, 2.0, 5.0]), np.array([1.0, 10.0, 100.0])
+        report = case_gap_monotonicity(gains, grid)
+        assert grid.flags.writeable and report.rho_grid is not grid
+        assert not report.rho_grid.flags.writeable
+        series, stderr = {"sum": np.array([1.0, 2.0])}, {"sum": np.array([0.1, 0.2])}
+        result = SweepResult("m-user-group", 3, np.array([0.0, 5.0]), series, stderr, 5, 1)
+        for given, kept in ((series, result.series), (stderr, result.stderr)):
+            assert kept is not given and kept["sum"] is not given["sum"]
+            assert given["sum"].flags.writeable and not kept["sum"].flags.writeable
+        for vector in ([True, True], ["0.5", "1"]):
+            for build in (ChannelGains, PowerAllocation, lambda v: RateReport(v, v),
+                          lambda v: case_gap_monotonicity(gains, v)):
+                with pytest.raises(ValidationError):
+                    build(vector)

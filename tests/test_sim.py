@@ -71,14 +71,17 @@ class TestConfig:
     def test_grid_and_trials_validation(self):
         with pytest.raises(ValidationError):
             SweepConfig(mode="two-user-sum", users=2, snr_db=(0.0, 0.0))
-        with pytest.raises(ValidationError):
-            SweepConfig(mode="two-user-sum", users=2, snr_db=())
+        # an empty grid is refused, and so is a text or bool grid point
+        for grid in ((), ("0", "5"), (False, True)):
+            with pytest.raises(ValidationError):
+                SweepConfig(mode="two-user-sum", users=2, snr_db=grid)
         with pytest.raises(ValidationError):
             SweepConfig(mode="two-user-sum", users=2, trials=0)
-        # a bool is no count and no seed
-        for bad in ({"trials": True}, {"seed": True}, {"seed": False}, {"users": True}):
-            with pytest.raises(ValidationError):
-                SweepConfig(mode="m-user-group", **bad)
+        # a bool, float or text is no count and no seed
+        for name in ("users", "trials", "seed"):
+            for value in (True, False, 1.5, "2"):
+                with pytest.raises(ValidationError):
+                    SweepConfig(mode="m-user-group", **{name: value})
         config = SweepConfig(
             mode="m-user-group", users=np.int64(3), trials=np.int64(5), seed=np.uint64(1)
         )
