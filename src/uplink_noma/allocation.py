@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
-    MIN_RECEIVED_SNR,
     ChannelGains,
     PowerAllocation,
     TransmitSnr,
@@ -48,9 +47,7 @@ class FeasibleInterval:
     lower: float
     upper: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
-            raise ValidationError("interval ends must be finite")
+    def __post_init__(self):  # NaN and +-inf fail it too
         if not (0.0 < self.lower <= self.upper < 1.0):
             raise ValidationError(
                 f"interval must satisfy 0 < lower <= upper < 1, "
@@ -68,21 +65,18 @@ def strong_share_bounds(snr: TransmitSnr, g1: float, g2: float) -> FeasibleInter
             / (rho*g2 + rho*g1 * (sqrt(1+rho*g2) - 1)).
     The two ends coincide when g2 = g1. A lower end above the upper end
     beyond float noise raises InfeasibleIntervalError instead of clamping.
-    A rho*g1 below MIN_RECEIVED_SNR, an infinite rho*g2, or a rho*g1 so large
-    (about 3.2e32 on, as in `optimal_m_user`) that the upper end rounds to 1
-    raises ValidationError.
+    The upper end is `optimal_two_user`'s strong share, with its errors: a
+    rho*g1 so large (about 3.2e32 on) that it rounds to 1 raises
+    ValidationError, as does a rho*g that `check_received_snr` refuses.
     """
     g1, g2 = check_positive("g1", g1), check_positive("g2", g2)
     if g2 < g1:
         raise ValidationError(f"g2 must be >= g1, got g1={g1!r}, g2={g2!r}")
     check_received_snr(snr.rho, (g1, g2))
+    upper = float(optimal_two_user(snr, g1).alphas[1])
     x1 = snr.rho * g1
     x2 = snr.rho * g2
-    s1 = float(np.expm1(0.5 * np.log1p(x1)))  # sqrt(1+x1) - 1, as in `m_user_shares`
     s2 = math.expm1(0.5 * math.log1p(x2))  # sqrt(1+x2) - 1
-    upper = 1.0 - s1 / x1  # (1+s1)*s1/x1, as (1+s1)*s1 = x1 - s1
-    if upper >= 1.0:
-        raise ValidationError(f"rho*g1 of {x1:g} puts the weak share below float resolution")
     lower = (1.0 + x1) * s2 / (x2 + x1 * s2)
     if lower > upper:
         if lower - upper > BOUND_TIE_TOL:
@@ -117,7 +111,7 @@ def m_user_shares(x, m: int, out=None) -> np.ndarray:
     so the products telescope to alpha_1 = r_m / r_1 and
     alpha_i = r_m / r_i - r_m / r_{i-1}, which sum to r_m / r_m = 1. At
     m = 2, alpha_1 = (sqrt(1+x) - 1)/x, the weak share of `optimal_two_user`.
-    Elementwise over x, which must be finite and at least MIN_RECEIVED_SNR;
+    Elementwise over x, which must pass `check_received_snr` as rho*g;
     output shape is x.shape + (m,), weakest user first: the view of a
     C-contiguous (m,) + x.shape array, users leading, so each user's shares
     are contiguous. With `out`, a float (m,) + x.shape buffer in any layout
@@ -126,9 +120,7 @@ def m_user_shares(x, m: int, out=None) -> np.ndarray:
     """
     m = check_integer("group size m", m, 2)
     x = np.asarray(x, dtype=float)
-    # NaN fails both; the initial values pass an empty x
-    if not (x.min(initial=math.inf) >= MIN_RECEIVED_SNR and x.max(initial=0.0) < math.inf):
-        raise ValidationError("rho*g1 must be positive, finite and normal")
+    check_received_snr(x, 1.0)  # x is rho*g1 already; an empty x passes
     # users on a leading axis keep numpy's inner loops long, over x
     shape = (m,) + x.shape
     if out is None:

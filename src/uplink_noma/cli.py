@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import math
 import os
@@ -51,6 +52,8 @@ SEED_ENV_VAR = "UPLINK_NOMA_SEED"
 MAX_GRID_POINTS = 100_000
 # largest `alloc --m`; a larger group exits 2 before its shares are allocated
 MAX_GROUP_SIZE = 100_000
+# most bytes read from a --config file; a longer one, such as /dev/zero, exits 2
+MAX_CONFIG_BYTES = 2**20
 # most gains `pair` ranks without --oracle, a guard on the input's size alone
 # (the near-far rating holds only its K pairs); more exit 2 before any is checked
 MAX_PAIR_USERS = 4096
@@ -119,8 +122,11 @@ def _read_config(path: str, command: str) -> dict:
     comment. Keys are the subcommand's flags, less `--config`, each given once."""
     options, first_line = {}, {}
     try:
-        with open(path, encoding="utf-8") as handle:
-            lines = handle.readlines()
+        with open(path, "rb") as handle:
+            data = handle.read(MAX_CONFIG_BYTES + 1)
+        if len(data) > MAX_CONFIG_BYTES:
+            raise ValidationError(f"config file {path!r} exceeds {MAX_CONFIG_BYTES} bytes")
+        lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read config file {path!r}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
@@ -199,7 +205,7 @@ def _render_json(names, *columns, meta: dict | None = None) -> str:
 
 
 def _emit(text: str, path: str | None) -> None:
-    """Print to stdout, or atomically replace `path`."""
+    """Print to stdout, or atomically replace `path` (mode 0o666 less the umask)."""
     if path is None:
         sys.stdout.write(text)
         return
@@ -209,6 +215,9 @@ def _emit(text: str, path: str | None) -> None:
         fd, tmp_path = tempfile.mkstemp(prefix=".partial-", dir=directory)
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp_path, 0o666 & ~umask)  # as open() makes a new file, not mkstemp's 0o600
         os.replace(tmp_path, path)
     except OSError as exc:
         if tmp_path is not None:

@@ -7,8 +7,8 @@ strongest user first, so user i sees residual interference only from the
 weaker users j < i and the weakest user is decoded interference free.
 
 The package's boundary checks live here and raise ValidationError:
-`check_integer`, `check_positive`, `real_array`, `frozen` (a read-only copy,
-the one value objects keep), `check_gains` and `check_received_snr`.
+`check_integer`, `check_positive`, `real_array` (finite), `frozen` (its
+read-only copy), `ascending_grid`, `check_gains` and `check_received_snr`.
 """
 
 from __future__ import annotations
@@ -63,11 +63,13 @@ def check_positive(name: str, value) -> float:
 
 
 def real_array(name: str, values) -> np.ndarray:
-    """`values` as a float array, uncopied if it is one, from integers or
-    reals; a bool, complex, text or object array is refused."""
+    """`values` as a finite float array, uncopied if it is one, from integers
+    or reals; a bool, complex, text or object array, NaN or +-inf is refused."""
     array = np.asarray(values)
     if array.dtype.kind not in "iuf":
         raise ValidationError(f"{name} must be integer or real numbers, got dtype {array.dtype}")
+    if not np.all(np.isfinite(array)):
+        raise ValidationError(f"{name} must be finite")
     return array.astype(float, copy=False)
 
 
@@ -76,6 +78,16 @@ def frozen(name: str, values) -> np.ndarray:
     array = real_array(name, values).copy()
     array.setflags(write=False)
     return array
+
+
+def ascending_grid(name: str, values, min_points: int) -> np.ndarray:
+    """`values` as a strictly ascending 1-d `real_array` of `min_points` or more."""
+    grid = real_array(name, values)
+    if grid.ndim != 1 or grid.size < min_points or np.any(np.diff(grid) <= 0.0):
+        raise ValidationError(
+            f"{name} must be a strictly ascending 1-d grid of length >= {min_points}"
+        )
+    return grid
 
 
 def log2_1p(y, out=None):
@@ -142,8 +154,6 @@ class PowerAllocation:
         a = frozen("alphas", self.alphas)
         if a.ndim != 1 or a.size < 2:
             raise ValidationError("alphas must be a 1-d vector of length >= 2")
-        if not np.all(np.isfinite(a)):
-            raise ValidationError("alphas must be finite")
         if np.any(a <= 0.0) or np.any(a >= 1.0):
             raise ValidationError("each alpha must lie strictly inside (0, 1)")
         total = float(a.sum())
@@ -173,8 +183,6 @@ class RateReport:
         ro = frozen("oma_rates", self.oma_rates)
         if rn.ndim != 1 or ro.ndim != 1 or rn.size != ro.size:
             raise DimensionError("rate vectors must be 1-d and equal length")
-        if not (np.all(np.isfinite(rn)) and np.all(np.isfinite(ro))):
-            raise ValidationError("rates must be finite")
         if np.any(rn < 0.0) or np.any(ro < 0.0):
             raise ValidationError("rates must be nonnegative")
         for label, vec in (("noma", rn), ("oma", ro)):
@@ -185,10 +193,11 @@ class RateReport:
 def check_received_snr(rho, gains) -> None:
     """Raise unless every rho*g, for rho and g positive numbers or arrays, is
     finite and normal (at least MIN_RECEIVED_SNR). The extreme products bound
-    them all; Python floats overflow to inf without numpy's RuntimeWarning."""
+    them all (NaN fails, an empty rho or g passes); Python floats overflow to
+    inf without numpy's RuntimeWarning."""
     rho, gains = np.asarray(rho, dtype=float), np.asarray(gains, dtype=float)
-    lowest = float(rho.min()) * float(gains.min())
-    highest = float(rho.max()) * float(gains.max())
+    lowest = float(rho.min(initial=math.inf)) * float(gains.min(initial=math.inf))
+    highest = float(rho.max(initial=0.0)) * float(gains.max(initial=0.0))
     if not (lowest >= MIN_RECEIVED_SNR and math.isfinite(highest)):
         raise ValidationError("rho*g must be positive, finite and normal")
 

@@ -26,11 +26,11 @@ from .model import (
     RateReport,
     TransmitSnr,
     ValidationError,
+    ascending_grid,
     check_integer,
     check_received_snr,
     frozen,
     log2_1p,
-    real_array,
     sic_rates,
 )
 from .allocation import m_user_shares
@@ -235,13 +235,7 @@ def case_gap_monotonicity(gains: ChannelGains, rho_grid: Sequence[float]) -> Cas
     """
     if gains.m != 4:
         raise DimensionError(f"case_gap_monotonicity needs exactly 4 gains, got {gains.m}")
-    grid = real_array("rho_grid", rho_grid)
-    if grid.ndim != 1 or grid.size < 2:
-        raise ValidationError("rho_grid must be a 1-d vector of length >= 2")
-    if np.any(grid <= 0.0) or not np.all(np.isfinite(grid)):
-        raise ValidationError("rho_grid values must be positive and finite")
-    if np.any(np.diff(grid) <= 0.0):
-        raise ValidationError("rho_grid must be strictly ascending")
+    grid = ascending_grid("rho_grid", rho_grid, 2)
     check_received_snr(grid, gains.gains)
     sums = matching_sums(grid, gains.gains, FOUR_USER_PAIRS)
     gaps = sums[:, 1] - sums[:, 0]

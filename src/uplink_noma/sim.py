@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
-    TransmitSnr, ValidationError, check_integer, check_received_snr, frozen, group_sum_rate,
-    log2_1p, real_array,
+    TransmitSnr, ValidationError, ascending_grid, check_integer, check_received_snr, frozen,
+    group_sum_rate, log2_1p,
 )
 from .allocation import m_user_shares
 from .channel import sample_gain_rows
@@ -143,11 +143,7 @@ class SweepConfig:
                 f"{MAX_SWEEP_GAINS} gains in the sweep's one draw"
             )
         seed = check_integer("seed", self.seed, 0)
-        grid = real_array("snr_db", self.snr_db)
-        if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)):
-            raise ValidationError("snr_db must be a nonempty finite 1-d grid")
-        if np.any(np.diff(grid) <= 0.0):
-            raise ValidationError("snr_db grid must be strictly ascending")
+        grid = ascending_grid("snr_db", self.snr_db, 1)
         for name, value in (("users", users), ("trials", trials), ("seed", seed),
                             ("snr_db", tuple(grid.tolist()))):
             object.__setattr__(self, name, value)
@@ -174,8 +170,6 @@ class SweepResult:
             for key, arr in table.items():
                 if arr.shape != grid.shape:
                     raise ValidationError(f"{name}[{key!r}] must have one value per point")
-                if not np.all(np.isfinite(arr)):
-                    raise ValidationError(f"{name}[{key!r}] must be finite")
                 if np.any(arr < 0.0):
                     raise ValidationError(f"{name}[{key!r}] must be nonnegative")
             object.__setattr__(self, name, table)

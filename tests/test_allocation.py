@@ -146,7 +146,8 @@ class TestBounds:
         assert interval.upper == pytest.approx(0.5, rel=1e-6)
 
     def test_optimum_sits_on_the_upper_bound(self):
-        # both against (1+s1)*s1/x1, s1 = sqrt(1+x1) - 1, in 60-digit decimals
+        # the upper end is the optimum's strong share, bit for bit, and that
+        # share is (1+s1)*s1/x1, s1 = sqrt(1+x1) - 1, in 60-digit decimals
         for rho in RHO_GRID:
             snr = TransmitSnr(float(rho))
             for g1 in G1_GRID:
@@ -156,7 +157,7 @@ class TestBounds:
                     ref = float((1 + s1) * s1 / x1)
                 upper = strong_share_bounds(snr, float(g1), 3.0 * float(g1)).upper
                 a2 = optimal_two_user(snr, float(g1)).alphas[1]
-                assert abs(upper - ref) <= 1e-14 * ref
+                assert upper == a2
                 assert abs(a2 - ref) <= 1e-14 * ref
 
     @given(
@@ -411,6 +412,11 @@ class TestMUser:
                 m_user_shares(np.array([1.0, x]), m)
         with pytest.raises(ValidationError, match="must be positive, finite and normal"):
             optimal_m_user(TransmitSnr(1.0), x, 3)
+
+    @pytest.mark.parametrize("x", [np.nan, np.inf])
+    def test_nonfinite_received_snr_is_rejected(self, x):
+        with pytest.raises(ValidationError, match=r"^rho\*g must be positive, finite and normal$"):
+            m_user_shares(np.array([1.0, x]), 2)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("m", [3, 32])

@@ -447,6 +447,19 @@ class TestSweep:
         assert first.read_bytes() == second.read_bytes()
         assert not [p for p in tmp_path.iterdir() if p.name.startswith(".partial-")]
 
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o007, 0o660)], ids=["022", "007"])
+    def test_file_output_takes_the_mode_of_a_new_file(self, tmp_path, capsys, umask, mode):
+        # what open(path, "w") gives a new file, not mkstemp's 0o600
+        path = tmp_path / "out.csv"
+        old = os.umask(umask)
+        try:
+            code = main(["alloc", "--snr-db", "10", "--g1", "0.5", "--output", str(path)])
+        finally:
+            os.umask(old)
+        capsys.readouterr()
+        assert code == 0
+        assert path.stat().st_mode & 0o777 == mode
+
     def test_unwritable_output_path(self, capsys):
         code, _, err = _run(capsys, *self.ARGS, "--output", "/nonexistent-dir/out.csv")
         assert code == 4
@@ -888,6 +901,21 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: cannot read config file {str(config)!r}: ")
         assert "can't decode byte 0xff" in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("extra, code", [(0, 0), (1, 2)])
+    def test_config_is_read_up_to_its_byte_cap(self, tmp_path, capsys, extra, code):
+        # a valid config padded by a comment to the cap, or one byte past it
+        text = b"mode = two-user-sum\ntrials = 5\nsnr_stop = 0\n# "
+        config = tmp_path / "big.cfg"
+        config.write_bytes(text.ljust(cli.MAX_CONFIG_BYTES + extra, b"x"))
+        got, out, err = _run(capsys, "sweep", "--config", str(config))
+        assert got == code
+        if code:
+            assert out == ""
+            assert err == (f"error: config file {str(config)!r} exceeds "
+                           f"{cli.MAX_CONFIG_BYTES} bytes\n")
+        else:
+            assert err == "" and out.startswith("snr_db,")
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(

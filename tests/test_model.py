@@ -1,6 +1,7 @@
 """Rate-model unit and property tests."""
 
 import decimal
+import re
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from hypothesis import strategies as st
 from uplink_noma import (
     ChannelGains,
     DimensionError,
+    FeasibleInterval,
     PairingPolicy,
     PowerAllocation,
     RateReport,
+    SweepConfig,
     SweepResult,
     TransmitSnr,
     ValidationError,
@@ -27,7 +30,10 @@ from uplink_noma import (
     sample_gain_rows,
     strong_share_bounds,
 )
-from uplink_noma.model import check_gains, group_sum_rate, log2_1p, sic_rates
+from uplink_noma.model import (
+    ascending_grid, check_gains, check_received_snr, group_sum_rate, log2_1p, real_array,
+    sic_rates,
+)
 
 SNR10 = TransmitSnr(10.0)
 
@@ -450,3 +456,41 @@ class TestBoundaryChecks:
                           lambda v: case_gap_monotonicity(gains, v)):
                 with pytest.raises(ValidationError):
                     build(vector)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_vectors_are_refused_by_real_array(self, bad):
+        # the one finiteness check of a given array, for every value object
+        # and grid that takes one
+        gains = ChannelGains([0.3, 0.8, 2.0, 5.0])
+        builds = {
+            "values": lambda v: real_array("values", v),
+            "gains": ChannelGains,
+            "alphas": PowerAllocation,
+            "noma_rates": lambda v: RateReport(v, np.ones(2)),
+            "series['sum']": lambda v: SweepResult(
+                "m-user-group", 3, np.array([0.0, 5.0]), {"sum": v}, {"sum": np.ones(2)}, 5, 1
+            ),
+            "snr_db": lambda v: SweepConfig(mode="two-user-sum", snr_db=v),
+            "rho_grid": lambda v: case_gap_monotonicity(gains, v),
+        }
+        for name, build in builds.items():
+            with pytest.raises(ValidationError, match=f"^{re.escape(name)} must be finite$"):
+                build(np.array([0.5, bad]))
+        # a non-finite interval end fails the interval's own order
+        with pytest.raises(ValidationError, match="^interval must satisfy"):
+            FeasibleInterval(0.5, bad)
+
+    def test_ascending_grid(self):
+        assert ascending_grid("grid", (1, 2.5), 2).tolist() == [1.0, 2.5]
+        assert ascending_grid("grid", [-3.0], 1).tolist() == [-3.0]
+        message = r"^grid must be a strictly ascending 1-d grid of length >= 2$"
+        for bad in ([1.0], [1.0, 1.0], [2.0, 1.0], [[1.0, 2.0]], 1.0):
+            with pytest.raises(ValidationError, match=message):
+                ascending_grid("grid", bad, 2)
+
+    def test_received_snr_check_passes_an_empty_array(self):
+        check_received_snr(1.0, np.empty(0))
+        check_received_snr(np.empty(0), [0.5, 2.0])
+        for rho, gains in ((np.nan, 1.0), (1.0, [1.0, np.inf]), (1e-300, 1e-10)):
+            with pytest.raises(ValidationError, match=r"^rho\*g must be positive, finite and normal$"):
+                check_received_snr(rho, gains)
