@@ -65,17 +65,17 @@ def strong_share_bounds(snr: TransmitSnr, g1: float, g2: float) -> FeasibleInter
             / (rho*g2 + rho*g1 * (sqrt(1+rho*g2) - 1)).
     The two ends coincide when g2 = g1. A lower end above the upper end
     beyond float noise raises InfeasibleIntervalError instead of clamping.
-    The upper end is `optimal_two_user`'s strong share, with its errors: a
-    rho*g1 so large (about 3.2e32 on) that it rounds to 1 raises
-    ValidationError, as does a rho*g that `check_received_snr` refuses.
+    The upper end is `optimal_two_user`'s strong share from `_resolved_shares`,
+    with its errors: a rho*g1 so large (about 3.2e32 on) that it rounds to 1
+    raises ValidationError, as does a rho*g that `check_received_snr` refuses.
     """
     g1, g2 = check_positive("g1", g1), check_positive("g2", g2)
     if g2 < g1:
         raise ValidationError(f"g2 must be >= g1, got g1={g1!r}, g2={g2!r}")
     check_received_snr(snr.rho, (g1, g2))
-    upper = float(optimal_two_user(snr, g1).alphas[1])
     x1 = snr.rho * g1
     x2 = snr.rho * g2
+    upper = float(_resolved_shares(x1, 2)[1])
     s2 = math.expm1(0.5 * math.log1p(x2))  # sqrt(1+x2) - 1
     lower = (1.0 + x1) * s2 / (x2 + x1 * s2)
     if lower > upper:
@@ -145,23 +145,24 @@ def m_user_shares(x, m: int, out=None) -> np.ndarray:
     return r.transpose(tuple(range(1, r.ndim)) + (0,))
 
 
-def optimal_m_user(snr: TransmitSnr, g1: float, m: int) -> PowerAllocation:
-    """Recursive m-user split from `m_user_shares`, weakest user first.
-
-    The whole vector depends only on rho*g1, and only the weakest user is
-    held at its orthogonal rate (see `protected_m_user`). From rho*g1 of
-    about 3.2e32 at m = 2, 3.4e97 at m = 3 and 1.2e195 at m = 4 (never below
-    float max for m >= 5) the weaker fractions fall below float resolution
-    and the strongest rounds to 1, so this raises ValidationError.
-    """
-    g1 = check_positive("g1", g1)
-    x = snr.rho * g1
+def _resolved_shares(x: float, m: int) -> np.ndarray:
+    """`m_user_shares(x, m)` at one x = rho*g1, or ValidationError where the
+    strongest share rounds to 1: from x of about 3.2e32 at m = 2, 3.4e97 at
+    m = 3 and 1.2e195 at m = 4 (never below float max for m >= 5)."""
     shares = m_user_shares(x, m)
     if shares[-1] >= 1.0:
         raise ValidationError(
             f"rho*g1 of {x:g} puts the weaker shares of a {m}-user split below float resolution"
         )
-    return PowerAllocation(shares)
+    return shares
+
+
+def optimal_m_user(snr: TransmitSnr, g1: float, m: int) -> PowerAllocation:
+    """Recursive m-user split, weakest user first, as `_resolved_shares`
+    gives it or refuses it. The whole vector depends only on rho*g1, and only
+    the weakest user is held at its orthogonal rate (see `protected_m_user`).
+    """
+    return PowerAllocation(_resolved_shares(snr.rho * check_positive("g1", g1), m))
 
 
 def protected_m_user(snr: TransmitSnr, gains: ChannelGains) -> PowerAllocation:

@@ -30,7 +30,7 @@ import tempfile
 
 import numpy as np
 
-from .model import ChannelGains, TransmitSnr, ValidationError, log2_1p
+from .model import ChannelGains, TransmitSnr, ValidationError, check_received_snr, log2_1p
 from .allocation import InfeasibleIntervalError, optimal_m_user
 from .pairing import (
     enumerate_matchings,
@@ -259,11 +259,12 @@ def cmd_pair(args) -> int:
         raise ValidationError(f"--gains of {values.size} values exceeds {MAX_PAIR_USERS} users")
     gains = ChannelGains(values)
     snr = TransmitSnr.from_db(args.snr_db)
-    near_far = near_far_policy(gains.m // 2)
-    pairs = matching_array(gains.m) if args.oracle else None  # its cap, before rho*g
-    noma_sum = pairing_sum_rate(gains, near_far, snr).noma_sum  # checks rho*g
     if not args.oracle:
+        near_far = near_far_policy(gains.m // 2)
+        noma_sum = pairing_sum_rate(gains, near_far, snr).noma_sum  # checks rho*g
         return _write_table(args, ["policy", "sum_noma"], [[str(near_far)], [float(noma_sum)]])
+    pairs = matching_array(gains.m)  # its cap, before rho*g
+    check_received_snr(snr.rho, gains.gains)  # the near-far sum is a row of the table
     # drawn once for perfbench's matching counter, about a fifth of the op,
     # until ROADMAP item 12 deletes the drain
     for _ in enumerate_matchings(gains.m):
@@ -295,8 +296,12 @@ def _snr_grid(start: float, stop: float, step: float) -> tuple:
             f"SNR grid from {start!r} to {stop!r} in steps of {step!r} dB "
             f"exceeds {MAX_GRID_POINTS} points"
         )
-    count = int(steps) + 1
-    return tuple(start + step * i for i in range(count))
+    grid = tuple(start + step * i for i in range(int(steps) + 1))
+    if len(set(grid)) < len(grid):  # a step below the float spacing of its points
+        raise ValidationError(
+            f"--snr-step of {step!r} dB is too fine for --snr-start {start!r}: grid points collide"
+        )
+    return grid
 
 
 def cmd_sweep(args) -> int:

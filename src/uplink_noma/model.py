@@ -68,7 +68,7 @@ def real_array(name: str, values) -> np.ndarray:
     array = np.asarray(values)
     if array.dtype.kind not in "iuf":
         raise ValidationError(f"{name} must be integer or real numbers, got dtype {array.dtype}")
-    if not np.all(np.isfinite(array)):
+    if not np.isfinite(array).all():
         raise ValidationError(f"{name} must be finite")
     return array.astype(float, copy=False)
 
@@ -118,11 +118,11 @@ class TransmitSnr:
 def check_gains(gains: np.ndarray) -> None:
     """Raise ValidationError unless every gain vector along the last axis is
     finite, strictly positive and sorted ascending (user 1 weakest)."""
-    if not np.all(np.isfinite(gains)):
+    if not np.isfinite(gains).all():
         raise ValidationError("gains must be finite")
-    if np.any(gains <= 0.0):
+    if (gains <= 0.0).any():
         raise ValidationError("gains must be strictly positive")
-    if np.any(np.diff(gains, axis=-1) < 0.0):
+    if (np.diff(gains, axis=-1) < 0.0).any():
         raise ValidationError("gains must be sorted ascending (user 1 weakest)")
 
 
@@ -154,7 +154,7 @@ class PowerAllocation:
         a = frozen("alphas", self.alphas)
         if a.ndim != 1 or a.size < 2:
             raise ValidationError("alphas must be a 1-d vector of length >= 2")
-        if np.any(a <= 0.0) or np.any(a >= 1.0):
+        if not (a.min() > 0.0 and a.max() < 1.0):
             raise ValidationError("each alpha must lie strictly inside (0, 1)")
         total = float(a.sum())
         if abs(total - 1.0) > SUM_TO_ONE_TOL:
@@ -183,7 +183,7 @@ class RateReport:
         ro = frozen("oma_rates", self.oma_rates)
         if rn.ndim != 1 or ro.ndim != 1 or rn.size != ro.size:
             raise DimensionError("rate vectors must be 1-d and equal length")
-        if np.any(rn < 0.0) or np.any(ro < 0.0):
+        if (rn < 0.0).any() or (ro < 0.0).any():
             raise ValidationError("rates must be nonnegative")
         for label, vec in (("noma", rn), ("oma", ro)):
             object.__setattr__(self, f"{label}_rates", vec)

@@ -170,7 +170,7 @@ class SweepResult:
             for key, arr in table.items():
                 if arr.shape != grid.shape:
                     raise ValidationError(f"{name}[{key!r}] must have one value per point")
-                if np.any(arr < 0.0):
+                if (arr < 0.0).any():
                     raise ValidationError(f"{name}[{key!r}] must be nonnegative")
             object.__setattr__(self, name, table)
         if set(self.series) != set(self.stderr):

@@ -201,6 +201,32 @@ class TestBounds:
         with pytest.raises(ValidationError, match="positive, finite and normal"):
             strong_share_bounds(TransmitSnr(1e300), 1.0, 1e10)
 
+    def test_float_resolution_error_is_one_message_in_every_view(self):
+        snr, g1 = TransmitSnr(1e30), 1e3  # rho*g1 = 1e33, past about 3.2e32
+        messages = []
+        for view in (
+            lambda: optimal_m_user(snr, g1, 2),
+            lambda: optimal_two_user(snr, g1),
+            lambda: strong_share_bounds(snr, g1, g1),
+        ):
+            with pytest.raises(ValidationError) as info:
+                view()
+            messages.append(str(info.value))
+        assert messages == [
+            "rho*g1 of 1e+33 puts the weaker shares of a 2-user split below float resolution"
+        ] * 3
+
+    def test_builds_no_power_allocation(self, monkeypatch):
+        # the interval reads the kernel's strong share, not a validated split
+        expected = strong_share_bounds(SNR10, 0.3, 2.0)
+
+        def refuse(alphas):
+            raise AssertionError("strong_share_bounds built a PowerAllocation")
+
+        monkeypatch.setattr(allocation, "PowerAllocation", refuse)
+        interval = strong_share_bounds(SNR10, 0.3, 2.0)
+        assert (interval.lower, interval.upper) == (expected.lower, expected.upper)
+
     def test_interval_type_rejects_disorder(self):
         with pytest.raises(ValidationError):
             allocation.FeasibleInterval(0.7, 0.3)

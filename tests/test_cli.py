@@ -139,6 +139,18 @@ class TestPair:
         sums = [float(r[1]) for r in rows]
         assert sums == sorted(sums, reverse=True)
 
+    def test_oracle_rates_no_near_far_report(self, capsys, monkeypatch):
+        # the ranked table holds the near-far sum; rating that policy apart
+        # would build a RateReport only to throw it away
+        argv = ["pair", "--gains", "0.3", "0.8", "2.0", "5.0", "--snr-db", "10", "--oracle"]
+        expected = _run(capsys, *argv)
+
+        def refuse(*args):
+            raise AssertionError("pair --oracle rated the near-far policy on its own")
+
+        monkeypatch.setattr(cli, "pairing_sum_rate", refuse)
+        assert _run(capsys, *argv) == expected and expected[0] == 0
+
     def test_gains_are_sorted_before_pairing(self, capsys):
         _, shuffled, _ = _run(
             capsys, "pair", "--gains", "5.0", "0.3", "2.0", "0.8", "--snr-db", "10"
@@ -757,6 +769,16 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and f"{cli.MAX_GRID_POINTS} points" in err
+        assert len(err.splitlines()) == 1
+
+    def test_step_below_the_float_spacing_names_the_step_and_start(self, capsys):
+        # at 1e16 dB floats are 2 apart, so steps of 0.5 dB land on one point
+        code, out, err = _run(
+            capsys, "sweep", "--mode", "two-user-sum", "--snr-start", "1e16",
+            "--snr-stop", "1.000000000000001e16", "--snr-step", "0.5",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --snr-step of 0.5 dB") and "--snr-start 1e+16" in err
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize(
