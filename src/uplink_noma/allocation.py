@@ -58,11 +58,9 @@ class FeasibleInterval:
 def strong_share_bounds(snr: TransmitSnr, g1: float, g2: float) -> FeasibleInterval:
     """Feasible interval for the strong user's power fraction alpha_2.
 
-    The upper end keeps the weak user at its orthogonal rate,
-        sqrt(1+rho*g1) * (sqrt(1+rho*g1) - 1) / (rho*g1),
-    the lower end keeps the strong user at its orthogonal rate,
-        (1+rho*g1) * (sqrt(1+rho*g2) - 1)
-            / (rho*g2 + rho*g1 * (sqrt(1+rho*g2) - 1)).
+    With A = sqrt(1+rho*g1) and B = sqrt(1+rho*g2), the interval is
+    [A^2 / (A^2 + B), A / (A + 1)]. The upper end keeps the weak user at its
+    orthogonal rate, the lower end the strong user at its own.
     The two ends coincide when g2 = g1. A lower end above the upper end
     beyond float noise raises InfeasibleIntervalError instead of clamping.
     The upper end is `optimal_two_user`'s strong share from `_resolved_shares`,
@@ -76,8 +74,7 @@ def strong_share_bounds(snr: TransmitSnr, g1: float, g2: float) -> FeasibleInter
     x1 = snr.rho * g1
     x2 = snr.rho * g2
     upper = float(_resolved_shares(x1, 2)[1])
-    s2 = math.expm1(0.5 * math.log1p(x2))  # sqrt(1+x2) - 1
-    lower = (1.0 + x1) * s2 / (x2 + x1 * s2)
+    lower = (1.0 + x1) / (1.0 + x1 + math.sqrt(1.0 + x2))
     if lower > upper:
         if lower - upper > BOUND_TIE_TOL:
             raise InfeasibleIntervalError(

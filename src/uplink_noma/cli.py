@@ -13,8 +13,8 @@ comma, as csv's QUOTE_MINIMAL does. The CSV body is one %-template, "%s"
 per text cell and "%.9g" per real, filled in one format call; each column
 is written into its own stride of one flat cell list. Cells are its
 arguments, never part of it, so a literal "%" in a cell prints as is. File
-output is written to a temporary file in the target directory and renamed
-into place.
+output is written to a new temporary file in the target directory, with the
+mode open() gives, and renamed into place.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -205,22 +204,21 @@ def _render_json(names, *columns, meta: dict | None = None) -> str:
 
 
 def _emit(text: str, path: str | None) -> None:
-    """Print to stdout, or atomically replace `path` (mode 0o666 less the umask)."""
+    """Print to stdout, or atomically replace `path` by a new file, made as open() makes one."""
     if path is None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(path))
-    tmp_path = None
+    tmp_path = os.path.join(directory, f".partial-{os.urandom(8).hex()}")
+    fd = None
     try:
-        fd, tmp_path = tempfile.mkstemp(prefix=".partial-", dir=directory)
+        # the kernel applies the umask or a default ACL to 0o666, as for open()
+        fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp_path, 0o666 & ~umask)  # as open() makes a new file, not mkstemp's 0o600
         os.replace(tmp_path, path)
     except OSError as exc:
-        if tmp_path is not None:
+        if fd is not None:  # O_EXCL made this file, never someone else's
             try:
                 os.unlink(tmp_path)
             except OSError:

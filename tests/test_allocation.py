@@ -160,6 +160,20 @@ class TestBounds:
                 assert upper == a2
                 assert abs(a2 - ref) <= 1e-14 * ref
 
+    def test_lower_end_is_within_three_ulps_of_the_closed_form(self):
+        # lower end A^2 / (A^2 + B), A^2 = 1 + x1, B = sqrt(1 + x2), in
+        # 60-digit decimals from the products the function itself forms
+        for rho in RHO_GRID:
+            snr = TransmitSnr(float(rho))
+            for g1 in G1_GRID:
+                for ratio in (1.0, 1.5, 3.0, 10.0, 1e3):
+                    g2 = ratio * float(g1)
+                    with decimal.localcontext(decimal.Context(prec=60)):
+                        a_sq = 1 + decimal.Decimal(float(rho) * float(g1))
+                        ref = float(a_sq / (a_sq + (1 + decimal.Decimal(float(rho) * g2)).sqrt()))
+                    lower = strong_share_bounds(snr, float(g1), g2).lower
+                    assert abs(lower - ref) <= 3 * math.ulp(ref)
+
     @given(
         rho=st.floats(min_value=1e-2, max_value=1e4),
         g1=st.floats(min_value=1e-3, max_value=1e2),

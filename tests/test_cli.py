@@ -9,6 +9,7 @@ import io
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 import tempfile
@@ -150,6 +151,19 @@ class TestPair:
 
         monkeypatch.setattr(cli, "pairing_sum_rate", refuse)
         assert _run(capsys, *argv) == expected and expected[0] == 0
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
+    def test_near_far_row_is_the_oracles_first_row(self, capsys, n):
+        # pair sums the user rates in index order and the oracle adds pair
+        # sums in pair order; the two floats can differ, the 9-digit row not
+        for seed in range(4):
+            gains = [repr(g) for g in np.random.default_rng(seed).standard_exponential(n).tolist()]
+            for snr_db in ("-10", "10", "40"):
+                argv = ["pair", "--gains", *gains, "--snr-db", snr_db]
+                code, near_far, _ = _run(capsys, *argv)
+                assert code == 0
+                _, oracle, _ = _run(capsys, *argv, "--oracle")
+                assert near_far == "".join(oracle.splitlines(keepends=True)[:2])
 
     def test_gains_are_sorted_before_pairing(self, capsys):
         _, shuffled, _ = _run(
@@ -471,6 +485,63 @@ class TestSweep:
         capsys.readouterr()
         assert code == 0
         assert path.stat().st_mode & 0o777 == mode
+
+    def test_file_output_follows_a_default_acl(self, tmp_path, capsys):
+        # a default ACL of user::rw-, group::r--, other::--- overrides the
+        # umask: the xattr is version 2, then (tag, perm, id) per entry
+        entries = [(0x01, 6), (0x04, 4), (0x20, 0)]  # user, group and other
+        acl = struct.pack("<I", 2) + b"".join(struct.pack("<HHi", t, p, -1) for t, p in entries)
+        try:
+            os.setxattr(tmp_path, "system.posix_acl_default", acl)
+        except (AttributeError, OSError) as exc:
+            pytest.skip(f"cannot set a default ACL: {exc}")
+        with open(tmp_path / "open.csv", "w"):
+            pass
+        path = tmp_path / "out.csv"
+        code = main(["alloc", "--snr-db", "10", "--g1", "0.5", "--output", str(path)])
+        capsys.readouterr()
+        assert code == 0
+        modes = [p.stat().st_mode & 0o777 for p in (path, tmp_path / "open.csv")]
+        assert modes == [0o640, 0o640]
+
+    def test_file_output_changes_no_process_state(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("--output called os.umask or os.chmod")
+
+        path = tmp_path / "out.csv"
+        old = os.umask(0o022)
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "umask", refuse)
+                patch.setattr(os, "chmod", refuse)
+                code = main(["alloc", "--snr-db", "10", "--g1", "0.5", "--output", str(path)])
+        finally:
+            os.umask(old)
+        capsys.readouterr()
+        assert code == 0
+        assert path.stat().st_mode & 0o777 == 0o644
+
+    def test_a_taken_temporary_name_is_left_as_it_was(self, tmp_path, capsys, monkeypatch):
+        # the name's random bytes are all zero, and a file already holds it
+        monkeypatch.setattr(os, "urandom", bytes)
+        taken = tmp_path / f".partial-{bytes(8).hex()}"
+        taken.write_text("not this run's\n")
+        path = tmp_path / "out.csv"
+        code, out, err = _run(capsys, *self.ARGS, "--output", str(path))
+        assert (code, out) == (4, "")
+        assert err.startswith(f"error: cannot write output file {str(path)!r}: ")
+        assert taken.read_text() == "not this run's\n"
+        assert sorted(tmp_path.iterdir()) == [taken]
+
+    def test_output_naming_a_directory_leaves_no_partial_file(self, tmp_path, capsys):
+        # the temporary file is made beside the target, here in tmp_path
+        target = tmp_path / "dir"
+        target.mkdir()
+        code, out, err = _run(capsys, *self.ARGS, "--output", str(target))
+        assert (code, out) == (4, "")
+        assert err.startswith(f"error: cannot write output file {str(target)!r}: ")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [target] and not list(target.iterdir())
 
     def test_unwritable_output_path(self, capsys):
         code, _, err = _run(capsys, *self.ARGS, "--output", "/nonexistent-dir/out.csv")
