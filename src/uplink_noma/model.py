@@ -8,7 +8,7 @@ weaker users j < i and the weakest user is decoded interference free.
 
 The package's boundary checks live here and raise ValidationError:
 `check_integer`, `check_positive`, `real_array` (finite), `frozen` (its
-read-only copy), `ascending_grid`, `check_gains` and `check_received_snr`.
+read-only copy), `ascending_grid` and `check_received_snr`.
 """
 
 from __future__ import annotations
@@ -115,17 +115,6 @@ class TransmitSnr:
         return cls(rho)
 
 
-def check_gains(gains: np.ndarray) -> None:
-    """Raise ValidationError unless every gain vector along the last axis is
-    finite, strictly positive and sorted ascending (user 1 weakest)."""
-    if not np.isfinite(gains).all():
-        raise ValidationError("gains must be finite")
-    if (gains <= 0.0).any():
-        raise ValidationError("gains must be strictly positive")
-    if (np.diff(gains, axis=-1) < 0.0).any():
-        raise ValidationError("gains must be sorted ascending (user 1 weakest)")
-
-
 @dataclass(frozen=True, eq=False)
 class ChannelGains:
     """Squared channel magnitudes |h_i|^2, sorted ascending (weakest first)."""
@@ -136,7 +125,10 @@ class ChannelGains:
         g = frozen("gains", self.gains)
         if g.ndim != 1 or g.size < 2:
             raise ValidationError("gains must be a 1-d vector of length >= 2")
-        check_gains(g)
+        if g.min() <= 0.0:
+            raise ValidationError("gains must be strictly positive")
+        if np.any(np.diff(g) < 0.0):
+            raise ValidationError("gains must be sorted ascending (user 1 weakest)")
         object.__setattr__(self, "gains", g)
 
     @property

@@ -24,6 +24,7 @@ from uplink_noma import (
 )
 from uplink_noma import sim
 from uplink_noma.allocation import m_user_shares
+from uplink_noma.cli import main
 from uplink_noma.model import group_sum_rate, log2_1p
 from uplink_noma.sim import MODES, _mean_and_stderr
 
@@ -253,6 +254,26 @@ class TestSharedDraw:
         monkeypatch.setattr(sim, "sample_gain_rows", counting)
         run_sweep(SweepConfig(mode=mode, users=users, snr_db=SMALL_GRID, trials=50, seed=3))
         assert calls == [(users, 3, 50)]
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_the_received_snr_check_refuses_any_bad_drawn_gain(self, monkeypatch, capsys, bad):
+        # the sampler's rows are safe by construction and go unchecked; the
+        # sweep's one rho*g check covers every gain of the draw
+        def spoiled(*args):
+            rows = sample_gain_rows(*args)
+            rows[17, 0] = bad
+            return rows
+
+        monkeypatch.setattr(sim, "sample_gain_rows", spoiled)
+        message = r"^rho\*g must be positive, finite and normal$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValidationError, match=message):
+                run_sweep(SweepConfig(mode="two-user-sum", snr_db=SMALL_GRID, trials=50, seed=3))
+            code = main(["sweep", "--mode", "two-user-sum", "--trials", "50", "--seed", "3"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
 
     # the group also at 3, 12 and 130 users: below numpy's unroll of 8, above
     # it, and above its pairwise blocks of 128
