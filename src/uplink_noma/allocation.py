@@ -73,7 +73,7 @@ def strong_share_bounds(snr: TransmitSnr, g1: float, g2: float) -> FeasibleInter
     check_received_snr(snr.rho, (g1, g2))
     x1 = snr.rho * g1
     x2 = snr.rho * g2
-    upper = float(_resolved_shares(x1, 2)[1])
+    upper = float(_resolved_shares(x1, recursive_shares(x1, 2))[1])
     lower = (1.0 + x1) / (1.0 + x1 + math.sqrt(1.0 + x2))
     if lower > upper:
         if lower - upper > BOUND_TIE_TOL:
@@ -118,14 +118,21 @@ def m_user_shares(x, m: int, out=None) -> np.ndarray:
     m = check_integer("group size m", m, 2)
     x = np.asarray(x, dtype=float)
     check_received_snr(x, 1.0)  # x is rho*g1 already; an empty x passes
-    # users on a leading axis keep numpy's inner loops long, over x
     shape = (m,) + x.shape
-    if out is None:
-        r = np.empty(shape)
-    elif isinstance(out, np.ndarray) and out.shape == shape and out.dtype == float:
-        r = out
-    else:
+    if out is not None and not (
+        isinstance(out, np.ndarray) and out.shape == shape and out.dtype == float
+    ):
         raise ValidationError(f"out must be a float array of shape {shape}")
+    return recursive_shares(x, m, out)
+
+
+def recursive_shares(x, m: int, out=None) -> np.ndarray:
+    """`m_user_shares` without its checks, for callers that have made them:
+    every x = rho*g1 passes `check_received_snr`, m is an int >= 2, and `out`
+    is None or a float (m,) + x.shape buffer."""
+    x = np.asarray(x, dtype=float)
+    # users on a leading axis keep numpy's inner loops long, over x
+    r = np.empty((m,) + x.shape) if out is None else out
     # r_m in row 0 and r_i in row i, so that no step makes numpy copy a row
     r[1, ...] = x  # not expm1(log1p(x)), which can be an ulp off x
     # from x, not row 1: for a source partly overlapping its output, as rows
@@ -142,14 +149,14 @@ def m_user_shares(x, m: int, out=None) -> np.ndarray:
     return r.transpose(tuple(range(1, r.ndim)) + (0,))
 
 
-def _resolved_shares(x: float, m: int) -> np.ndarray:
-    """`m_user_shares(x, m)` at one x = rho*g1, or ValidationError where the
-    strongest share rounds to 1: from x of about 3.2e32 at m = 2, 3.4e97 at
-    m = 3 and 1.2e195 at m = 4 (never below float max for m >= 5)."""
-    shares = m_user_shares(x, m)
+def _resolved_shares(x: float, shares: np.ndarray) -> np.ndarray:
+    """The m shares at one x = rho*g1, or ValidationError where the strongest
+    rounds to 1: from x of about 3.2e32 at m = 2, 3.4e97 at m = 3 and
+    1.2e195 at m = 4 (never below float max for m >= 5)."""
     if shares[-1] >= 1.0:
         raise ValidationError(
-            f"rho*g1 of {x:g} puts the weaker shares of a {m}-user split below float resolution"
+            f"rho*g1 of {x:g} puts the weaker shares of a {len(shares)}-user split "
+            "below float resolution"
         )
     return shares
 
@@ -159,7 +166,8 @@ def optimal_m_user(snr: TransmitSnr, g1: float, m: int) -> PowerAllocation:
     gives it or refuses it. The whole vector depends only on rho*g1, and only
     the weakest user is held at its orthogonal rate (see `protected_m_user`).
     """
-    return PowerAllocation(_resolved_shares(snr.rho * check_positive("g1", g1), m))
+    x = snr.rho * check_positive("g1", g1)
+    return PowerAllocation(_resolved_shares(x, m_user_shares(x, m)))
 
 
 def protected_m_user(snr: TransmitSnr, gains: ChannelGains) -> PowerAllocation:

@@ -11,8 +11,10 @@ and build no rows. CSV text (matching labels and column names) is never
 empty and holds no quote, CR or LF, so a cell is quoted just when it holds a
 comma, as csv's QUOTE_MINIMAL does. The CSV body is one %-template, "%s"
 per text cell and "%.9g" per real, filled in one format call; each column
-is written into its own stride of one flat cell list. Cells are its
-arguments, never part of it, so a literal "%" in a cell prints as is. File
+is written into its own stride of one flat cell list. The JSON rows are
+filled the same way, from cells already written as json writes them. Cells
+are the template's arguments, never part of it, so a literal "%" in a cell
+prints as is. File
 output to a new path or a plain file is written to a new temporary file in
 the target directory, with the mode open() gives, and renamed into place;
 any other path, such as a symlink, FIFO or device, is opened and written
@@ -182,27 +184,47 @@ def _quote_minimal(cells) -> list:
     return [f'"{cell}"' if "," in cell else cell for cell in cells]
 
 
+def _fill(row: str, columns, sep: str = "") -> str:
+    """`row`, a %-template of one field per column, once per row joined by
+    `sep` and filled in one format call from one flat cell list, into which
+    each column is written at its own stride."""
+    width, rows = len(columns), len(columns[0])
+    flat = [None] * (width * rows)
+    for i, column in enumerate(columns):
+        flat[i::width] = column
+    return ((row + sep) * (rows - 1) + row) % tuple(flat)
+
+
 def _render_csv(names, *columns) -> str:
     header = ",".join(_quote_minimal(names)) + "\n"
     if not columns:
         return header
     text = [isinstance(c[0], str) for c in columns]
-    width = len(columns)
-    flat = [None] * (width * len(columns[0]))
-    for i, (is_text, column) in enumerate(zip(text, columns)):
-        flat[i::width] = _quote_minimal(column) if is_text else column
-    line = ",".join(["%s" if is_text else "%.9g" for is_text in text]) + "\n"
-    return header + (line * len(columns[0])) % tuple(flat)
+    cells = [_quote_minimal(c) if t else c for t, c in zip(text, columns)]
+    return header + _fill(",".join(["%s" if t else "%.9g" for t in text]) + "\n", cells)
 
 
 def _render_json(names, *columns, meta: dict | None = None) -> str:
-    # each row is read across the columns by index: no per-column copy is made
+    """`json.dumps(payload, indent=2)` of the metadata, the column names and
+    one object a row, its reals rounded to 9 digits; the rows are one
+    template fill, their cells as json writes them. As in a dict, a repeated
+    name keeps its first place and its last column's value."""
     payload = dict(meta or {})
     payload["columns"] = list(names)
-    text = [isinstance(c[0], str) for c in columns]
-    payload["rows"] = [{n: c[r] if t else _round9(c[r]) for n, t, c in zip(names, text, columns)}
-                       for r in range(len(columns[0]) if columns else 0)]
-    return json.dumps(payload, indent=2) + "\n"
+    head = json.dumps(payload, indent=2)[:-2]  # less the closing "\n}"
+    if not columns:
+        return head + ',\n  "rows": []\n}\n'
+    last = {name: i for i, name in enumerate(names)}
+    keys = [json.encoder.encode_basestring_ascii(name).replace("%", "%%") for name in last]
+    fields = ",\n".join(f"      {key}: %s" for key in keys)
+    cells = [
+        list(map(json.encoder.encode_basestring_ascii, c)) if isinstance(c[0], str)
+        # the C encoder writes each rounded real, NaN and infinities included
+        else json.dumps([_round9(v) for v in c])[1:-1].split(", ")
+        for c in (columns[i] for i in last.values())
+    ]
+    rows = _fill("    {\n" + fields + "\n    }", cells, ",\n")
+    return head + ',\n  "rows": [\n' + rows + "\n  ]\n}\n"
 
 
 def _emit(text: str, path: str | None) -> None:

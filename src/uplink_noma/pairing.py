@@ -33,7 +33,7 @@ from .model import (
     log2_1p,
     sic_rates,
 )
-from .allocation import m_user_shares
+from .allocation import recursive_shares
 
 # enumeration grows as (n-1)!!, 10395 matchings at the 12-user cap
 MAX_ENUMERATION_USERS = 12
@@ -129,7 +129,7 @@ def enumerate_matchings(n_users: int) -> Iterator[PairingPolicy]:
 
 def pair_rates(rho, gains, out=None):
     """Per-user rates (..., 2) of two-user NOMA systems at the
-    `optimal_two_user` split (the one use of `m_user_shares(., 2)` with
+    `optimal_two_user` split (the one use of `recursive_shares(., 2)` with
     `sic_rates`), without validation. `gains` is (..., 2), weaker user first;
     `rho` broadcasts against gains[..., 0]. `out`, a float buffer of the
     broadcast shape in any layout, takes rho*g_weak, then the shares, then
@@ -140,7 +140,7 @@ def pair_rates(rho, gains, out=None):
     if out is None:
         out = np.empty(np.broadcast_shapes(rho.shape, gains.shape), order="F")
     np.multiply(rho[..., 0], gains[..., 0], out=out[..., 0])
-    m_user_shares(out[..., 0], 2, out=np.moveaxis(out, -1, 0))
+    recursive_shares(out[..., 0], 2, out=np.moveaxis(out, -1, 0))
     return sic_rates(rho, out, gains, out=out)
 
 

@@ -14,14 +14,19 @@ point's mean and standard error are those of its own independent trials.
 Each mode's columns, group size and kernel live in one table, `MODES`,
 which `SweepConfig`, `run_sweep` and the CLI read; the two-user rates use
 `pair_rates`, the group sums `group_sum_rate` and the four-user cases
-`matching_sums`. A mode's kernel is set up once per sweep, on the draw: it
-allocates the (columns, trials) output block and any trials x users
-buffers then, every grid point overwrites them, and the reduce squares the
-deviations in the block itself.
-The sweep holds its draw and this workspace to its last point. A group
-point allocates no row-length temporary; a two-user rates point still
-allocates one, and a four-user cases point the pair rates and sums of
-`matching_sums`. Each point's bits are those it would have alone.
+`matching_sums`. A sweep walks its grid in blocks of points, one kernel
+call and one reduce each. A block is as many points as fit in BLOCK_BYTES
+of workspace, its output rows and the trial-length buffers a point holds,
+at least one and at most the grid. A mode's kernel is set up once per
+sweep, on the draw: it allocates the (width, columns, trials) output block
+and any users x trials buffers then, every block overwrites them, and the
+reduce squares the deviations in the block itself.
+The sweep holds its draw and this workspace, at most BLOCK_BYTES or one
+point's, to its last point. A group block allocates no row-length
+temporary; a two-user rates block still allocates one a point, and a
+four-user cases block the pair rates and sums of `matching_sums`. Every
+op is elementwise or reduces along an axis that blocking does not change,
+so each point's bits are those it would have alone.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from .model import (
     TransmitSnr, ValidationError, ascending_grid, check_integer, check_received_snr, frozen,
     group_sum_rate, log2_1p,
 )
-from .allocation import m_user_shares
+from .allocation import recursive_shares
 from .channel import sample_gain_rows
 from .pairing import FOUR_USER_PAIRS, matching_sums, pair_rates
 
@@ -46,68 +51,103 @@ DEFAULT_GROUP_SIZE = 12
 
 # most gains (trials x users) in a sweep's one draw, shared by all its grid
 # points; the sampler holds them all at once, and the sweep keeps them and its
-# workspace (at most one more trials x users buffer, in the group-sum modes)
-# to its last point, so a larger sweep is refused before anything is allocated
+# workspace (at most BLOCK_BYTES or one point's: in the group-sum modes, one
+# more trials x users buffer) to its last point, so a larger sweep is refused
+# before anything is allocated
 MAX_SWEEP_GAINS = 2**26
 
+# most bytes of workspace one kernel call may hold for its block of grid
+# points; a point needing more is a block of its own
+BLOCK_BYTES = 2**20
 
-def _two_user_rates(gains):
-    """Point kernel into one C-contiguous (4, trials) block: the NOMA rates of
-    both users at the optimal split, then their OMA rates. `pair_rates` writes
-    rho*g1, the shares and then the SIC rates over the NOMA rows, so the
-    block is the point's only buffer."""
-    block = np.empty((4, len(gains)))
+
+def _block_width(rows: int, trials: int, points: int) -> int:
+    """Grid points per kernel call: as many as BLOCK_BYTES holds at `rows`
+    float rows of `trials` values a point, at least 1 and at most `points`.
+    A one-trial point stays alone: numpy sums a group's users pairwise over
+    one value a user, but left to right over several (`group_sum_rate`)."""
+    if trials == 1:
+        return 1
+    return max(1, min(points, BLOCK_BYTES // (8 * rows * trials)))
+
+
+def _blocked(evaluate, block):
+    """A kernel's point function over its C-contiguous (width, columns,
+    trials) block. rho, a number or a 1-d block of at most `width` values,
+    gives its (columns, trials) or (len(rho), columns, trials) head of the
+    block, which `evaluate(rho, head)` fills from rho as a (len(rho), 1)
+    column. The width is the function's `width`."""
 
     def point(rho):
-        pair_rates(rho, gains, out=block[:2].T)
-        oma = log2_1p(np.multiply(rho, gains.T, out=block[2:]), out=block[2:])
+        column = np.reshape(np.asarray(rho, dtype=float), (-1, 1))
+        head = block[: len(column)]
+        evaluate(column, head)
+        return head if np.ndim(rho) else head[0]
+
+    point.width = len(block)
+    return point
+
+
+def _two_user_rates(gains, points=1):
+    """Kernel into (width, 4, trials) blocks: each point's NOMA rates of both
+    users at the optimal split, then their OMA rates. `pair_rates` writes
+    rho*g1, the shares and then the SIC rates over the NOMA rows, and
+    allocates one row a point, of SIC denominators: five rows a point."""
+    block = np.empty((_block_width(5, len(gains), points), 4, len(gains)))
+
+    def evaluate(rho, out):
+        pair_rates(rho, gains, out=out[:, :2].swapaxes(1, 2))
+        oma = log2_1p(np.multiply(rho[..., None], gains.T, out=out[:, 2:]), out=out[:, 2:])
         oma *= 0.5
-        return block
 
-    return point
+    return _blocked(evaluate, block)
 
 
-def _group_and_oma_sums(gains):
-    """Point kernel into one C-contiguous (2, trials) block: each row's
-    recursive-split NOMA sum (at two users, the optimal pair) and its 1/M
-    orthogonal sum. One C-contiguous (users, trials) terms buffer serves every
-    point: it takes the shares, then their products with the gains, whose
-    sum rate `group_sum_rate` writes into the NOMA row, and then the OMA log
-    terms, which `np.add.reduce` sums into the OMA row in the same order
-    whatever the gains' layout."""
+def _group_and_oma_sums(gains, points=1):
+    """Kernel into (width, 2, trials) blocks: each row's recursive-split NOMA
+    sum (at two users, the optimal pair) and its 1/M orthogonal sum. One
+    C-contiguous (users, width, trials) terms buffer serves every block: it
+    takes the shares, then their products with the gains, whose sum rate
+    `group_sum_rate` writes into the NOMA rows, and then the OMA log terms,
+    which `np.add.reduce` sums into the OMA rows in the same order whatever
+    the gains' layout. A point holds 2 + M rows."""
     trials, m = gains.shape
-    users = gains.T  # users leading, contiguous for the sampler's rows
-    block = np.empty((2, trials))
-    terms = np.empty((m, trials))
+    users = gains.T[:, np.newaxis]  # users leading, contiguous for the sampler's rows
+    block = np.empty((_block_width(2 + m, trials, points), 2, trials))
+    terms = np.empty(m * len(block) * trials)  # a ragged block takes its C-contiguous head
 
-    def point(rho):
-        m_user_shares(np.multiply(rho, users[0], out=block[0]), m, out=terms)
-        group_sum_rate(rho, np.multiply(terms, users, out=terms), out=block[0])
-        log2_1p(np.multiply(rho, users, out=terms), out=terms)
-        np.divide(np.add.reduce(terms, axis=0, out=block[1]), m, out=block[1])
-        return block
+    def evaluate(rho, out):
+        products = terms[: m * len(out) * trials].reshape(m, len(out), trials)
+        recursive_shares(np.multiply(rho, users[0], out=out[:, 0]), m, out=products)
+        group_sum_rate(rho, np.multiply(products, users, out=products), out=out[:, 0])
+        log2_1p(np.multiply(rho, users, out=products), out=products)
+        np.divide(np.add.reduce(products, axis=0, out=out[:, 1]), m, out=out[:, 1])
 
-    return point
+    return _blocked(evaluate, block)
 
 
-def _four_user_sums(gains):
-    """Point kernel into one C-contiguous (3, trials) block of the three
-    pairings' sum rates."""
-    block = np.empty((3, len(gains)))
+def _four_user_sums(gains, points=1):
+    """Kernel into (width, 3, trials) blocks of the three pairings' sum
+    rates. `matching_sums` allocates the rest, at most 32 rows a point: the
+    six pairs' gains, their rates and sums, and one temporary."""
+    block = np.empty((_block_width(3 + 32, len(gains), points), 3, len(gains)))
 
-    def point(rho):
-        block.T[...] = matching_sums(rho, gains, FOUR_USER_PAIRS)
-        return block
+    def evaluate(rho, out):
+        out.swapaxes(1, 2)[...] = matching_sums(rho, gains, FOUR_USER_PAIRS)
 
-    return point
+    return _blocked(evaluate, block)
 
 
 # mode -> (series columns, means first, in CLI output order; the group size
 # the mode requires, or None for any; per-sweep kernel: (trials, users) gain
-# matrix -> point function, rho -> per-trial samples of each column as one
-# C-contiguous (columns, trials) block). The kernel allocates the block and
-# every buffer once and each point overwrites them, so the caller may
-# overwrite a point's block, as `_mean_and_stderr` does, until the next point.
+# matrix and the grid's length -> point function, rho -> per-trial samples of
+# each column as one C-contiguous block). A kernel walks the grid in blocks of
+# points: `point(rhos)`, for up to `point.width` of them, fills a (len(rhos),
+# columns, trials) block, and a number rho a (columns, trials) one. The width
+# is as many points as fit in BLOCK_BYTES of workspace: the block's rows and
+# the trial-length buffers a point holds. The kernel allocates the block and
+# every buffer once and each call overwrites them, so the caller may
+# overwrite a block, as `_mean_and_stderr` does, until the next call.
 MODES = {
     "two-user-rates": (("R1_noma", "R2_noma", "R1_oma", "R2_oma"), 2, _two_user_rates),
     "two-user-sum": (("sum_noma", "sum_oma"), 2, _group_and_oma_sums),
@@ -179,40 +219,42 @@ class SweepResult:
 
 def _mean_and_stderr(samples) -> tuple:
     """Mean and standard error (0 at one trial) of each equal-length series,
-    reduced at once along the trial axis of one C-contiguous (series, trials)
-    array: a kernel's block as it is, a tuple or strided array copied into
-    one. A strided view would be summed in another order, a few ulps off.
-    The steps are those of numpy's `mean` and `std(ddof=1)`, so the bits are
-    theirs, but the mean is summed once and the deviations are squared in
-    place: a C-contiguous array given is overwritten with them."""
+    reduced at once along the last, trial axis of one C-contiguous (...,
+    series, trials) array: a kernel's block as it is, a tuple or strided
+    array copied into one. A strided view would be summed in another order,
+    a few ulps off. The steps are those of numpy's `mean` and `std(ddof=1)`,
+    so the bits are theirs, but the mean is summed once and the deviations
+    are squared in place: a C-contiguous array given is overwritten with them."""
     stack = np.ascontiguousarray(samples)
-    n = stack.shape[1]
-    mean = stack.sum(axis=1) / n
+    n = stack.shape[-1]
+    mean = stack.sum(axis=-1) / n
     if n < 2:
         return mean, np.zeros_like(mean)
-    np.subtract(stack, mean[:, np.newaxis], out=stack)
+    np.subtract(stack, mean[..., np.newaxis], out=stack)
     stack *= stack
-    return mean, np.sqrt(stack.sum(axis=1) / (n - 1)) / math.sqrt(n)
+    return mean, np.sqrt(stack.sum(axis=-1) / (n - 1)) / math.sqrt(n)
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Average the config's mode kernel over the SNR grid, every point on the
-    sweep's one gain draw (trials 0 .. trials-1 of the seed's stream)."""
+    sweep's one gain draw (trials 0 .. trials-1 of the seed's stream), one
+    kernel call and one reduce per block of points."""
     names, _, kernel = MODES[config.mode]
-    rhos = [TransmitSnr.from_db(snr_db).rho for snr_db in config.snr_db]
+    rhos = np.array([TransmitSnr.from_db(snr_db).rho for snr_db in config.snr_db])
     gains = sample_gain_rows(config.users, config.seed, config.trials)
     check_received_snr(rhos, gains)  # every point's, before any kernel product can overflow
-    point = kernel(gains)
-    means = np.empty((len(names), len(rhos)))
+    point = kernel(gains, len(rhos))
+    means = np.empty((len(rhos), len(names)))
     errors = np.empty_like(means)
-    for i, rho in enumerate(rhos):
-        means[:, i], errors[:, i] = _mean_and_stderr(point(rho))
+    for start in range(0, len(rhos), point.width):
+        block = slice(start, start + point.width)
+        means[block], errors[block] = _mean_and_stderr(point(rhos[block]))
     return SweepResult(
         mode=config.mode,
         users=config.users,
         snr_db=np.asarray(config.snr_db),
-        series=dict(zip(names, means)),
-        stderr=dict(zip(names, errors)),
+        series=dict(zip(names, means.T)),
+        stderr=dict(zip(names, errors.T)),
         trials=config.trials,
         seed=config.seed,
     )

@@ -7,6 +7,7 @@ import functools
 import gc
 import io
 import json
+import math
 import os
 import re
 import struct
@@ -421,6 +422,21 @@ class TestRenderers:
     def test_column_wise_json_matches_the_row_wise_one(self, table):
         columns, rows = table
         meta = {"mode": "two-user-sum"}
+        assert cli._render_json(columns, *zip(*rows), meta=meta) == _row_wise_json(columns, rows, meta)
+
+    @pytest.mark.parametrize(
+        "columns, rows",
+        [
+            (["", ""], [["a", 1.0], ["b", 2.5]]),  # a repeated name: first place, last value
+            (["a", "b", "a"], [[1.0, "x", 2.0]]),
+            (["100%", "%s", "%%(x)s"], [["%d", 0.1, -0.0]]),
+            (["r"], [[math.nan], [math.inf], [-math.inf], [np.float64(1 / 3)], [5e-324]]),
+            (["ünï", "\"q\"\n"], [["côdé\u2192\t", np.float64(-2.5e-7)]]),
+            (["sum_noma", "x"], []),  # no rows
+        ],
+    )
+    def test_json_edge_tables_match_the_row_wise_renderer(self, columns, rows):
+        meta = {"mode": "m-user-group", "users": 32}
         assert cli._render_json(columns, *zip(*rows), meta=meta) == _row_wise_json(columns, rows, meta)
 
     @pytest.mark.parametrize("cells", [["(1,2)", "x"], ["ünï,côdé"], ["100%", "%s,%.9g"]])

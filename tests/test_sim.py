@@ -449,3 +449,63 @@ class TestWorkspace:
         trials = 10_000
         block = np.random.default_rng(1).exponential(size=(4, trials))
         assert self._fresh_bytes(lambda: _mean_and_stderr(block)) <= trials
+
+
+# (mode, users, trials) at which a block holds a few points: every mode at 2,
+# 3, 12 and 130 users where it takes them, and a one-trial group, whose
+# points stay alone (numpy sums a group's users pairwise over one value)
+_BLOCK_CASES = [
+    ("two-user-rates", 2, 5000), ("two-user-sum", 2, 5000), ("four-user-cases", 4, 1000),
+    ("m-user-group", 2, 5000), ("m-user-group", 3, 5000), ("m-user-group", 12, 2000),
+    ("m-user-group", 130, 300), ("m-user-group", 32, 1),
+]
+
+
+class TestBlocks:
+    """A sweep walks its grid in blocks of points, one kernel call and one
+    reduce each, and every point keeps the bits it has alone."""
+
+    @pytest.mark.parametrize(
+        "mode, users, trials, width",
+        [("m-user-group", 32, 500, 7), ("two-user-rates", 2, 10_000, 2),
+         ("four-user-cases", 4, 10_000, 1), ("m-user-group", 12, 10_000, 1)],
+    )
+    def test_a_block_is_as_many_points_as_fit_in_block_bytes(self, mode, users, trials, width):
+        kernel = MODES[mode][2]
+        gains = sample_gain_rows(users, 1, trials)
+        assert kernel(gains, 161).width == width
+        assert kernel(gains, 1).width == kernel(gains).width == 1  # never past the grid
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mode, users, trials", _BLOCK_CASES)
+    def test_every_point_of_a_ragged_grid_is_the_point_alone(self, mode, users, trials):
+        width = MODES[mode][2](sample_gain_rows(users, 6, trials), 1000).width
+        assert (width > 1) == (trials > 1)
+        for points in sorted({max(1, width - 1), width, width + 1, 2 * width + 1}):
+            grid = tuple(np.linspace(-10.0, 30.0, points).tolist())
+            whole = run_sweep(
+                SweepConfig(mode=mode, users=users, snr_db=grid, trials=trials, seed=6)
+            )
+            for point, snr_db in enumerate(grid):
+                alone = run_sweep(
+                    SweepConfig(mode=mode, users=users, snr_db=(snr_db,), trials=trials, seed=6)
+                )
+                for key in whole.series:
+                    assert alone.series[key][0] == whole.series[key][point]
+                    assert alone.stderr[key][0] == whole.stderr[key][point]
+
+    @pytest.mark.parametrize("points", [1, 161])
+    def test_a_group_sweep_holds_at_most_block_bytes_beyond_its_draw(self, monkeypatch, points):
+        # the shape of the benchmark's fine group sweep, and one point of it,
+        # which holds one point's workspace. Beside the workspace, numpy's buffered ufunc loops hold up to one buffer of
+        # `np.getbufsize()` values an operand while an operation runs, where
+        # a loop's contiguous run is shorter than that (here, 500 trials)
+        users, trials = 32, 500
+        draw = sample_gain_rows(users, 11, trials)
+        monkeypatch.setattr(sim, "sample_gain_rows", lambda *args: draw)
+        grid = tuple(-10.0 + 0.25 * i for i in range(points))
+        config = SweepConfig(mode="m-user-group", users=users, snr_db=grid, trials=trials)
+        workspace = 8 * (2 + users) * trials
+        budget = workspace if points == 1 else max(workspace, sim.BLOCK_BYTES)
+        ufunc_buffers = 3 * 8 * np.getbufsize()
+        assert TestWorkspace._fresh_bytes(lambda: run_sweep(config)) <= budget + ufunc_buffers + 4096
