@@ -369,8 +369,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parses_as_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _joined_floats(argv) -> list:
+    """argv with each single-value float flag joined to a value that parses
+    as a float, as `--flag=value`: argparse reads a negative value in
+    exponent form, such as -1e1, after a space as a flag."""
+    flags = {"--" + dest.replace("_", "-") for dest, (_, _, keywords) in _OPTIONS.items()
+             if keywords.get("type") is float and "nargs" not in keywords}
+    joined = []
+    for word in argv:
+        if joined and joined[-1] in flags and _parses_as_float(word):
+            joined[-1] += "=" + word
+        else:
+            joined.append(word)
+    return joined
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_joined_floats(sys.argv[1:] if argv is None else argv))
     try:
         _resolve(args)
         return _COMMANDS[args.command][0](args)

@@ -26,7 +26,10 @@ point's, to its last point. A group block allocates no row-length
 temporary; a two-user rates block still allocates one a point, and a
 four-user cases block the pair rates and sums of `matching_sums`. Every
 op is elementwise or reduces along an axis that blocking does not change,
-so each point's bits are those it would have alone.
+so each point's bits are those it would have alone. A group block's OMA
+row is the users' natural-log terms log1p(rho*g), summed over the users
+and then scaled once by 1/(M ln 2); its rho*g products are made one point
+at a time with a scalar rho, so no numpy loop runs through buffers.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
-    TransmitSnr, ValidationError, ascending_grid, check_integer, check_received_snr, frozen,
+    LN2, TransmitSnr, ValidationError, ascending_grid, check_integer, check_received_snr, frozen,
     group_sum_rate, log2_1p,
 )
 from .allocation import recursive_shares
@@ -108,9 +111,12 @@ def _group_and_oma_sums(gains, points=1):
     sum (at two users, the optimal pair) and its 1/M orthogonal sum. One
     C-contiguous (users, width, trials) terms buffer serves every block: it
     takes the shares, then their products with the gains, whose sum rate
-    `group_sum_rate` writes into the NOMA rows, and then the OMA log terms,
-    which `np.add.reduce` sums into the OMA rows in the same order whatever
-    the gains' layout. A point holds 2 + M rows."""
+    `group_sum_rate` writes into the NOMA rows, and then the OMA terms. Those
+    are the products rho*g, made one point at a time with a scalar rho, so
+    no loop is buffered, and then their natural logs log1p(rho*g), which
+    `np.add.reduce` sums into the OMA rows in the same order whatever the
+    gains' layout; each row is then scaled once by 1/(M ln 2). A point holds
+    2 + M rows."""
     trials, m = gains.shape
     users = gains.T[:, np.newaxis]  # users leading, contiguous for the sampler's rows
     block = np.empty((_block_width(2 + m, trials, points), 2, trials))
@@ -120,8 +126,10 @@ def _group_and_oma_sums(gains, points=1):
         products = terms[: m * len(out) * trials].reshape(m, len(out), trials)
         recursive_shares(np.multiply(rho, users[0], out=out[:, 0]), m, out=products)
         group_sum_rate(rho, np.multiply(products, users, out=products), out=out[:, 0])
-        log2_1p(np.multiply(rho, users, out=products), out=products)
-        np.divide(np.add.reduce(products, axis=0, out=out[:, 1]), m, out=out[:, 1])
+        for k, rho_k in enumerate(rho[:, 0]):  # a scalar rho a point: no buffered loop
+            np.multiply(users[:, 0], rho_k, out=products[:, k])
+        np.log1p(products, out=products)
+        np.divide(np.add.reduce(products, axis=0, out=out[:, 1]), m * LN2, out=out[:, 1])
 
     return _blocked(evaluate, block)
 

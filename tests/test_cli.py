@@ -846,17 +846,24 @@ class TestConfigContract:
         assert expected[0] == 0
         assert _run(capsys, "sweep", "--config", str(marked)) == expected
 
-    def test_a_negative_value_in_exponent_form_is_read_after_an_equals_sign(
+    def test_a_negative_value_in_exponent_form_is_read_after_a_space_or_an_equals_sign(
         self, tmp_path, capsys
     ):
-        # argparse reads "-1e1" after a space as a flag, not a negative number
+        # argparse alone reads "-1e1" after a space as a flag; main joins a
+        # float flag to a value that parses as a float
         config = tmp_path / "c.cfg"
         config.write_text("snr_db = -1e1\n")
         base = ["alloc", "--g1", "0.5"]
         expected = _run(capsys, *base, "--snr-db", "-10")
         assert expected[0] == 0
-        assert _run(capsys, *base, "--snr-db=-1e1") == expected
-        assert _run(capsys, *base, "--config", str(config)) == expected
+        for given in (["--snr-db", "-1e1"], ["--snr-db=-1e1"], ["--config", str(config)]):
+            assert _run(capsys, *base, *given) == expected
+        assert _run(capsys, *base, "--snr-db", "-5e-1") == _run(capsys, *base, "--snr-db", "-0.5")
+        sweep = ["sweep", "--mode", "two-user-sum", "--snr-stop", "0", "--trials", "5"]
+        expected = _run(capsys, *sweep, "--snr-start", "-10")
+        assert expected[0] == 0
+        assert _run(capsys, *sweep, "--snr-start", "-1e1") == expected
+        assert _run(capsys, *sweep, "--snr-start=-1e1") == expected
 
 
 class TestExitCodes:

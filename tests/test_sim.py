@@ -25,7 +25,9 @@ from uplink_noma import (
 from uplink_noma import sim
 from uplink_noma.allocation import m_user_shares
 from uplink_noma.cli import main
-from uplink_noma.model import group_sum_rate, log2_1p
+from uplink_noma.model import (
+    LN2, MIN_RECEIVED_SNR, check_received_snr, group_sum_rate, log2_1p,
+)
 from uplink_noma.sim import MODES, _mean_and_stderr
 
 SMALL_GRID = (-10.0, 0.0, 10.0, 20.0)
@@ -347,7 +349,11 @@ class TestKernelLayout:
 
 class TestGroupKernel:
     """The group kernel's NOMA row is `group_sum_rate` of the shares' products
-    with the gains, and its OMA row the users' mean orthogonal rate."""
+    with the gains. Its OMA row is the users' natural-log terms log1p(rho*g),
+    summed over the users by `np.add.reduce` and then scaled once by
+    1/(M ln 2), bit for bit. That row is the users' mean orthogonal rate, the
+    mean of their `log2_1p` terms, to within a relative 4*M*eps, from the
+    lowest rho that `check_received_snr` accepts for the draw to the highest."""
 
     @pytest.mark.parametrize(
         "mode, m",
@@ -357,13 +363,19 @@ class TestGroupKernel:
         rows = sample_gain_rows(m, 11, 257)
         users = np.ascontiguousarray(rows.T)
         point = MODES[mode][2](rows)
-        for rho in (0.1, 10.0, 1e3):
+        eps = np.finfo(float).eps
+        lowest = MIN_RECEIVED_SNR / users.min() * (1 + 4 * eps)
+        highest = np.finfo(float).max / users.max() * (1 - 4 * eps)
+        for rho in (lowest, 0.1, 10.0, 1e3, highest):
+            check_received_snr(rho, users)
             shares = m_user_shares(rho * users[0], m).T
             noma = group_sum_rate(rho, shares * users)
-            oma = np.add.reduce(log2_1p(rho * users), axis=0) / m
+            oma = np.add.reduce(np.log1p(rho * users), axis=0) / (m * LN2)
             block = point(rho)
             assert np.array_equal(block[0], noma)
             assert np.array_equal(block[1], oma)
+            mean_rate = np.add.reduce(log2_1p(rho * users), axis=0) / m
+            assert np.all(np.abs(block[1] - mean_rate) <= 4 * m * eps * mean_rate)
 
 
 def _nan_filled(allocate):
